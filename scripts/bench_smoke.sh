@@ -3,7 +3,9 @@
 # same code paths and CSV schemas as the full runs, shrunk to seconds. This
 # catches bit-rot in the bench mains (which tier-1 tests never execute) and
 # exercises bench_runtime's resilience sweep (10% injected launch failures;
-# fails if any future hangs or the accounting does not reconcile).
+# fails if any future hangs or the accounting does not reconcile). The ten
+# simulator-only fig/table benches then run once more at full fidelity and
+# must reproduce their committed CSVs byte for byte.
 #
 # Smoke CSVs land in <build>/bench_results/smoke/; afterwards
 # scripts/check_bench_regression.py compares the smoke runtime/fleet/ragged
@@ -49,6 +51,25 @@ for b in "${BENCHES[@]}"; do
   echo "== $b --smoke"
   # `timeout` turns a hung bench into a failure instead of a stuck gate.
   timeout 600 "./$b" --smoke
+done
+
+# Paper-reproduction identity gate: the ten simulator-only benches, at full
+# fidelity, must regenerate their committed CSVs byte for byte. Simulated
+# numbers are deterministic outputs of the model (no wall clock, independent
+# of host worker count), so any difference is a model or engine change; a
+# deliberate one re-commits the CSVs in the same change.
+IDENTITY=(
+  bench_fig1_global_latency:fig1 bench_fig2_sync_latency:fig2
+  bench_fig4_per_thread:fig4 bench_fig7_layouts:fig7 bench_fig8_panels:fig8
+  bench_fig9_per_block:fig9 bench_table2_bandwidth:table2
+  bench_table3_latency:table3 bench_table4_params:table4
+  bench_table5_phases:table5
+)
+for entry in "${IDENTITY[@]}"; do
+  b="${entry%%:*}" id="${entry##*:}"
+  echo "== $b (full fidelity) vs bench_results/$id.csv"
+  timeout 600 "./$b" > /dev/null
+  cmp "bench_results/$id.csv" "../../bench_results/$id.csv"
 done
 
 # Replay soundness gate (DESIGN.md §13): one more smoke pass with every

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Tier-2 memory/UB gate: the ASan+UBSan sibling of the race gate in
 # scripts/tier2_tsan.sh. Builds the full test suite with
-# -fsanitize=address,undefined (ucontext fibers, so the fiber stacks are
-# ASan-visible) and runs it end to end — this is the gate that would have
-# caught the old trace.cc comparator, whose strict-weak-ordering violation
-# was UB inside std::stable_sort.
+# -fsanitize=address,undefined and runs it end to end — this is the gate
+# that would have caught the old trace.cc comparator, whose
+# strict-weak-ordering violation was UB inside std::stable_sort.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -4,9 +4,9 @@
 # the shared plan cache / planner, the serving runtime's queueing machinery,
 # the obs telemetry layer (metric registry + trace ring hammered from many
 # threads, and the end-to-end runtime timeline that records from dispatcher
-# and worker threads), and the fiber scheduler (built on ucontext in this
-# preset so TSan can see the context switches; the hand-rolled asm switch is
-# invisible to it). The ASan+UBSan sibling is scripts/tier2_asan.sh.
+# and worker threads), and the lane executor (stackless coroutines, so TSan
+# needs no context-switch annotations). The ASan+UBSan sibling is
+# scripts/tier2_asan.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +18,7 @@ cmake --build --preset tsan -j "$(nproc)" --target regla_tests
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 # RuntimeQueue.* drive the runtime through the solve_override hook (pure
-# queueing, no kernels); RuntimeSolve.* add real fiber-backed launches;
+# queueing, no kernels); RuntimeSolve.* add real kernel launches;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and
@@ -26,10 +26,25 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # the dispatcher and every worker thread at once); Arena*/RuntimeArena*/
 # RuntimeRagged* hammer the payload arena's lease/release free lists and the
 # staged/view assembly tiers from concurrent submitters.
-#
+PATTERNS=(
+  'ThreadPool*' 'PlanCache*' 'RuntimeQueue*' 'RuntimeSolve*' 'RuntimeFault*'
+  'EngineFault*' 'TimerWheel*' 'Lane*' 'Obs*' 'OpsRegistry*' 'OpsZoo*'
+  'Fleet*' 'ReplayVerify*' 'Arena*' 'RuntimeArena*' 'RuntimeRagged*'
+)
+
+# A renamed or deleted suite must fail the gate, not silently shrink it:
+# every pattern has to match at least one test.
+for p in "${PATTERNS[@]}"; do
+  listed=$(./build-tsan/tests/regla_tests --gtest_list_tests --gtest_filter="$p")
+  if ! grep -q '^  ' <<<"$listed"; then
+    echo "tier2 tsan: --gtest_filter pattern '$p' matches no test" >&2
+    exit 1
+  fi
+done
+
 # `timeout` backstops the raw gtest run: ctest's per-test TIMEOUT does not
 # apply here, and a sanitizer-found deadlock must fail, not hang the gate.
-timeout 1800 ./build-tsan/tests/regla_tests \
-  --gtest_filter='ThreadPool*:PlanCache*:RuntimeQueue*:RuntimeSolve*:RuntimeFault*:EngineFault*:TimerWheel*:Fiber*:Obs*:OpsRegistry*:OpsZoo*:Fleet*:ReplayVerify*:Arena*:RuntimeArena*:RuntimeRagged*'
+filter=$(IFS=:; echo "${PATTERNS[*]}")
+timeout 1800 ./build-tsan/tests/regla_tests --gtest_filter="$filter"
 
 echo "tier2 tsan: clean"

@@ -15,28 +15,49 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void raise(const char* cond, const char* file, int line,
-                               const std::string& msg) {
+// The failure paths of REGLA_CHECK / REGLA_CHECK_MSG live out of line and
+// cold, so a check compiles to a compare and a never-taken call: accessors
+// that carry one (SharedArray::ld/st, RegTile::get/set) stay small inside
+// kernel loops, and no message is formatted unless the check fails.
+[[noreturn, gnu::cold, gnu::noinline]] inline void raise(
+    const char* cond, const char* file, int line, const std::string& msg) {
   std::ostringstream os;
   os << file << ":" << line << ": check failed: " << cond;
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void raise(const char* cond,
+                                                         const char* file,
+                                                         int line) {
+  raise(cond, file, line, std::string());
+}
+
+/// `fmt(os)` streams the check's message.
+template <typename Fmt>
+[[noreturn, gnu::cold, gnu::noinline]] void raise_fmt(const char* cond,
+                                                      const char* file,
+                                                      int line,
+                                                      const Fmt& fmt) {
+  std::ostringstream os;
+  fmt(os);
+  raise(cond, file, line, os.str());
+}
 }  // namespace detail
 
 }  // namespace regla
 
-/// Precondition check: always on (these guard the public API, not hot loops).
-#define REGLA_CHECK(cond)                                         \
-  do {                                                            \
-    if (!(cond)) ::regla::detail::raise(#cond, __FILE__, __LINE__, ""); \
+/// Precondition check: always on, in hot loops too (the failure path is cold
+/// and out of line).
+#define REGLA_CHECK(cond)                                           \
+  do {                                                              \
+    if (!(cond)) ::regla::detail::raise(#cond, __FILE__, __LINE__); \
   } while (0)
 
-#define REGLA_CHECK_MSG(cond, msg)                               \
-  do {                                                           \
-    if (!(cond)) {                                               \
-      std::ostringstream regla_os_;                              \
-      regla_os_ << msg;                                          \
-      ::regla::detail::raise(#cond, __FILE__, __LINE__, regla_os_.str()); \
-    }                                                            \
+#define REGLA_CHECK_MSG(cond, msg)                             \
+  do {                                                         \
+    if (!(cond))                                               \
+      ::regla::detail::raise_fmt(                              \
+          #cond, __FILE__, __LINE__,                           \
+          [&](std::ostream& regla_os_) { regla_os_ << msg; }); \
   } while (0)

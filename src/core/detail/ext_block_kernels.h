@@ -20,9 +20,9 @@ struct CholBlockArgs {
   int* notspd = nullptr;  ///< optional non-positive-pivot flags
 };
 
-inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
+inline simt::Lane cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n;
   Grid2D g2(ctx.tid(), ctx.nthreads(), n, n);
   const int r = g2.rdim;
@@ -45,7 +45,7 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
     }
   }
   if (ctx.tid() == 0) scale_sh.st(1, gfloat(0.0f));
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n; ++c) {
     ctx.set_panel(c / r);
@@ -63,7 +63,7 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
         scale_sh.st(1, gfloat(1.0f));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     const gfloat inv = scale_sh.ld(0);
     if (g2.tcol == c % r) {
       const int jloc = g2.lcol(c);
@@ -75,7 +75,7 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
         l_sh.st(gi, l);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // Symmetric trailing update on the lower triangle only.
     ctx.tag(simt::OpTag::rank1);
     for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
@@ -87,7 +87,7 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
         if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * lj);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.set_panel(-1);
@@ -114,9 +114,9 @@ struct LuPivBlockArgs {
   int* singular = nullptr;
 };
 
-inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
+inline simt::Lane lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n;
   Grid2D g2(ctx.tid(), ctx.nthreads(), n, n);
   const int r = g2.rdim;
@@ -145,7 +145,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
     }
   }
   if (ctx.tid() == 0) head_sh.st(2, gfloat(0.0f));
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n; ++c) {
     ctx.set_panel(c / r);
@@ -164,7 +164,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       maxv_sh.st(g2.trow, best);
       maxi_sh.st(g2.trow, gfloat(static_cast<float>(best_i)));
     }
-    ctx.sync();
+    co_await ctx.sync();
     // 2. One thread reduces the candidates and announces the pivot row.
     if (ctx.tid() == 0) {
       gfloat best(0.0f);
@@ -180,7 +180,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       if (best.value() == 0.0f) head_sh.st(2, gfloat(1.0f));
       piv_sh.st(c, gfloat(static_cast<float>(p)));
     }
-    ctx.sync();
+    co_await ctx.sync();
     const int p = static_cast<int>(head_sh.ld(0).value());
     // 3. Swap rows c and p through shared memory (identity swap if p == c).
     if (g2.trow == c % r) {
@@ -197,7 +197,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
         if (gj < n) rowp_sh.st(gj, A.get(iloc, jj));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     if (g2.trow == c % r) {
       const int iloc = g2.lrow(c);
       for (int jj = 0; jj < g2.wreg; ++jj) {
@@ -217,7 +217,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       const gfloat pivot = rowp_sh.ld(c);  // row p's entry in column c
       head_sh.st(1, pivot.value() != 0.0f ? gfloat(1.0f) / pivot : gfloat(0.0f));
     }
-    ctx.sync();
+    co_await ctx.sync();
     if (c == n - 1) break;  // last column: only the pivot search applies
     // 4. Scale l, publish l and u (as in the unpivoted kernel).
     const gfloat scale = head_sh.ld(1);
@@ -238,7 +238,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
         if (gj < n) u_sh.st(gj, A.get(iloc, jj));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // 5. Rank-1 Schur update.
     ctx.tag(simt::OpTag::rank1);
     for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
@@ -250,7 +250,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
         if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * u);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.set_panel(-1);
@@ -292,10 +292,10 @@ struct NormalEqArgs {
 /// broadcasts y_k and every thread updates the residuals of its columns);
 /// back solve R w = y is column-local to the owner of column k.
 template <typename S>
-void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
+simt::Lane normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
   using Store = typename StorageOf<S>::type;
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n, p = ctx.nthreads(), t = ctx.tid();
   const int cpt = (n + p - 1) / p;
 
@@ -316,7 +316,7 @@ void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
       R.set(i, jj, gr.ld(rbase + i + static_cast<std::ptrdiff_t>(gj) * n));
   }
   for (int i = t; i < n; i += p) acc_sh.st(i, gv.ld(vbase + i));
-  ctx.sync();
+  co_await ctx.sync();
 
   // Forward: y_k = acc_k / conj(R(k,k)); acc_i -= conj(R(k,i)) y_k, i > k.
   ctx.tag(simt::OpTag::other);
@@ -325,14 +325,14 @@ void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
       const int jloc = c / p;
       acc_sh.st(c, div_scalar(acc_sh.ld(c), conj_of(R.get(c, jloc))));
     }
-    ctx.sync();
+    co_await ctx.sync();
     const S yc = acc_sh.ld(c);
     for (int jj = 0; jj < cpt; ++jj) {
       const int gj = t + jj * p;
       if (gj > c && gj < n)
         acc_sh.st(gj, acc_sh.ld(gj) - conj_of(R.get(c, jj)) * yc);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
   // Back: w_k = acc_k / R(k,k); acc_i -= R(i,k) w_k for i < k (column-local).
   for (int c = n - 1; c >= 0; --c) {
@@ -343,7 +343,7 @@ void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
       for (int i = 0; i < c; ++i)
         acc_sh.st(i, acc_sh.ld(i) - R.get(i, jloc) * wc);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.tag(simt::OpTag::store);
@@ -364,9 +364,9 @@ struct TrsmBlockArgs {
 /// registers (the normal-eq layout, lower triangle instead of upper). Each
 /// forward step has column c's owner divide by L(c,c) and publish x_c; every
 /// thread then retires its own columns' updates of the shared residual.
-inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
+inline simt::Lane trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n, p = ctx.nthreads(), t = ctx.tid();
   const int cpt = (n + p - 1) / p;
 
@@ -388,7 +388,7 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
   }
   for (int i = t; i < n; i += p) acc_sh.st(i, gb.ld(bbase + i));
   if (t == 0) flag_sh.st(0, gfloat(0.0f));
-  ctx.sync();
+  co_await ctx.sync();
 
   // Forward: x_c = acc_c / L(c,c); acc_i -= L(i,c) x_c for i > c.
   ctx.tag(simt::OpTag::other);
@@ -406,7 +406,7 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
       for (int i = c + 1; i < n; ++i)
         acc_sh.st(i, acc_sh.ld(i) - L.get(i, jloc) * xc);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.tag(simt::OpTag::store);
@@ -432,10 +432,10 @@ struct ApplyQtArgs {
 /// repeated-solve path (factor once with qr_per_block, then apply_qt +
 /// triangular solve per new b).
 template <typename S>
-void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
+simt::Lane apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
   using Store = typename StorageOf<S>::type;
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int m = arg.m, n = arg.n;
   Grid2D g2(ctx.tid(), ctx.nthreads(), m, n);
   const int r = g2.rdim;
@@ -464,7 +464,7 @@ void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
   }
   for (int i = ctx.tid(); i < m; i += ctx.nthreads())
     b_sh.st(i, gb.ld(bbase + i));
-  ctx.sync();
+  co_await ctx.sync();
 
   const int ncols = (m > n) ? n : n - 1;
   for (int c = 0; c < ncols; ++c) {
@@ -479,7 +479,7 @@ void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
       }
       part.st(g2.trow, acc);
     }
-    ctx.sync();
+    co_await ctx.sync();
     const bool head = g2.trow == c % r && g2.tcol == c % r;
     if (head) {
       S acc = b_sh.ld(c);  // unit head of v
@@ -489,7 +489,7 @@ void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
       w_sh.st(0, w);
       b_sh.st(c, b_sh.ld(c) - w);
     }
-    ctx.sync();
+    co_await ctx.sync();
     ctx.tag(simt::OpTag::rank1);
     if (g2.tcol == c % r) {
       const S w = w_sh.ld(0);
@@ -499,7 +499,7 @@ void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
         if (gi < m) b_sh.st(gi, b_sh.ld(gi) - A.get(ii, jloc) * w);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.tag(simt::OpTag::store);

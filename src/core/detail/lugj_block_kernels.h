@@ -18,9 +18,9 @@ struct LuBlockArgs {
 };
 
 /// Unpivoted LU, one problem per block, 2D cyclic.
-inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
+inline simt::Lane lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n;
   Grid2D g2(ctx.tid(), ctx.nthreads(), n, n);
   const int r = g2.rdim;
@@ -44,7 +44,7 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
     }
   }
   if (ctx.tid() == 0) scale_sh.st(1, gfloat(0.0f));
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n - 1; ++c) {
     ctx.set_panel(c / r);
@@ -59,7 +59,7 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
         scale_sh.st(1, gfloat(1.0f));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // Paper Listing 6: scale while extracting l; row owners publish u.
     const gfloat scale = scale_sh.ld(0);
     if (g2.tcol == c % r) {
@@ -79,7 +79,7 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
         if (gj < n) u_sh.st(gj, A.get(iloc, jj));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // Paper Listing 7: rank-1 update of the Schur complement.
     ctx.tag(simt::OpTag::rank1);
     for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
@@ -91,7 +91,7 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
         if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * u);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.set_panel(-1);
@@ -122,9 +122,9 @@ struct GjBlockArgs {
 /// Gauss-Jordan solve of [A | b], one problem per block, 2D cyclic.
 /// b_k is overwritten with x_k; A_k ends up as garbage working values (the
 /// paper's kernel likewise only preserves the solution vector).
-inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
+inline simt::Lane gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n;
   const int naug = n + 1;
   Grid2D g2(ctx.tid(), ctx.nthreads(), n, naug);
@@ -154,7 +154,7 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
     }
   }
   if (ctx.tid() == 0) scale_sh.st(1, gfloat(0.0f));
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n; ++c) {
     ctx.set_panel(c / r);
@@ -168,7 +168,7 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
         scale_sh.st(1, gfloat(1.0f));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     const gfloat scale = scale_sh.ld(0);
     // Row owners scale the pivot row and publish it; column owners publish
     // the (unscaled) pivot column for elimination.
@@ -189,7 +189,7 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
         if (gi < n && gi != c) l_sh.st(gi, A.get(ii, jloc));
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     ctx.tag(simt::OpTag::rank1);
     for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
       const int gj = g2.gcol(jj);
@@ -200,7 +200,7 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
         if (gi < n && gi != c) A.sub(ii, jj, l_sh.ld(gi) * u);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.set_panel(-1);

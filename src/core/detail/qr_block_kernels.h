@@ -93,10 +93,10 @@ struct QrBlockArgs {
 
 /// 2D-cyclic one-problem-per-block Householder QR (+ optional solve).
 template <typename S>
-void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
+simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
   using Store = typename StorageOf<S>::type;
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int m = arg.m, n = arg.n;
   const bool aug = arg.solve || arg.augment_only;
   const int naug = aug ? n + 1 : n;
@@ -131,7 +131,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         A.set(ii, jj, S(0.0f));
     }
   }
-  ctx.sync();
+  co_await ctx.sync();
 
   const int ncols = (m > n) ? n : n - 1;
 
@@ -147,7 +147,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         if (g2.grow(ii) < m) sigma = abs2_acc(A.get(ii, jloc), sigma);
       red.st(g2.trow, sigma);
     }
-    ctx.sync();
+    co_await ctx.sync();
 
     // 2. Diagonal thread: serial reduction + reflector head.
     const bool diag = g2.trow == c % r && g2.tcol == c % r;
@@ -161,7 +161,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
       v_sh.st(c, S(1.0f));
       tau_sh.st(c, refl.skip ? S(0.0f) : refl.tau);
     }
-    ctx.sync();
+    co_await ctx.sync();
 
     // 3. Scale the column and publish the Householder vector.
     if (g2.tcol == c % r) {
@@ -176,7 +176,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         v_sh.st(gi, v);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
 
     // 4. Matrix-vector multiply: w = tau' * (v^H A_trailing).
     ctx.tag(OpTag::matvec);
@@ -190,7 +190,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
       }
       part.st(gj * r + g2.trow, acc);
     }
-    ctx.sync();
+    co_await ctx.sync();
     // Serial reductions, one trailing column per thread, all columns in
     // parallel (the paper's cost model: one cost_red per column, "we assume
     // that there are at least as many threads as columns").
@@ -202,7 +202,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         w_sh.st(gj, taup * acc);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
 
     // 5. Rank-1 trailing update: A -= v w.
     ctx.tag(OpTag::rank1);
@@ -215,7 +215,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         if (gi < m) A.sub(ii, jj, v_sh.ld(gi) * wj);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   // ---- optional back-substitution: R x = y (y = Q^H b, the aug column) ----
@@ -231,7 +231,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
           if (gi <= c) v_sh.st(gi, A.get(ii, jloc));
         }
       }
-      ctx.sync();
+      co_await ctx.sync();
       // The thread owning y_c computes x_c.
       if (g2.owns(c, n)) {
         const S rcc = v_sh.ld(c);
@@ -239,7 +239,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         A.set(g2.lrow(c), g2.lcol(n), x);
         w_sh.st(c, x);
       }
-      ctx.sync();
+      co_await ctx.sync();
       // Eliminate x_c from the rows above.
       if (g2.tcol == n % r) {
         const S x = w_sh.ld(c);
@@ -249,7 +249,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
           if (gi < c) A.sub(ii, jloc, v_sh.ld(gi) * x);
         }
       }
-      ctx.sync();
+      co_await ctx.sync();
     }
   }
 
@@ -295,9 +295,9 @@ struct Qr1DArgs {
   int count = 0;
 };
 
-inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
+inline simt::Lane qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n, naug = n + 1, p = ctx.nthreads(), t = ctx.tid();
   const int rpt = (n + p - 1) / p;  // rows per thread
   constexpr int kChunk = 16;
@@ -323,7 +323,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       A.set(ii, j, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(j) * n));
     A.set(ii, n, gb.ld(bbase + gi));
   }
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n - 1; ++c) {
     // 1. Norm partials across all row-owning threads.
@@ -334,7 +334,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       if (gi > c && gi < n) sigma = abs2_acc(A.get(ii, c), sigma);
     }
     red.st(t, sigma);
-    ctx.sync();
+    co_await ctx.sync();
     // 2. The owner of row c reduces serially over all p partials.
     if (t == c % p) {
       gfloat s(0.0f);
@@ -345,7 +345,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       A.set(lc, c, to_scalar(refl.beta, A.get(lc, c), refl.skip));
       v_sh.st(c, gfloat(1.0f));
     }
-    ctx.sync();
+    co_await ctx.sync();
     // 3. Scale and publish v.
     {
       const gfloat inv = load_head_inv<gfloat>(head);
@@ -359,7 +359,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
         }
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // 4. Matvec over column chunks with a two-stage reduction.
     ctx.tag(OpTag::matvec);
     const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
@@ -376,7 +376,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
         }
         part.st(t * kChunk + (j - j0), acc);
       }
-      ctx.sync();
+      co_await ctx.sync();
       if (t % kGroup == 0) {
         for (int j = j0; j < jend; ++j) {
           gfloat acc(0.0f);
@@ -385,7 +385,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
           part.st(t * kChunk + (j - j0), acc);
         }
       }
-      ctx.sync();
+      co_await ctx.sync();
       if (t == 0) {
         for (int j = j0; j < jend; ++j) {
           gfloat acc(0.0f);
@@ -397,7 +397,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
           part.st(j - j0, taup * acc);
         }
       }
-      ctx.sync();
+      co_await ctx.sync();
       // 5. Rank-1 update for this chunk.
       ctx.tag(OpTag::rank1);
       for (int ii = 0; ii < rpt; ++ii) {
@@ -406,7 +406,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
         const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
         for (int j = j0; j < jend; ++j) A.sub(ii, j, vi * part.ld(j - j0));
       }
-      ctx.sync();
+      co_await ctx.sync();
       ctx.tag(OpTag::matvec);
     }
   }
@@ -420,13 +420,13 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       A.set(lc, n, x);
       x_sh.st(c, x);
     }
-    ctx.sync();
+    co_await ctx.sync();
     const gfloat x = x_sh.ld(c);
     for (int ii = 0; ii < rpt; ++ii) {
       const int gi = t + ii * p;
       if (gi < c) A.sub(ii, n, A.get(ii, c) * x);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.tag(OpTag::store);
@@ -439,9 +439,9 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   }
 }
 
-inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
+inline simt::Lane qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
   const int k = ctx.block();
-  if (k >= arg.count) return;
+  if (k >= arg.count) co_return;
   const int n = arg.n, naug = n + 1, p = ctx.nthreads(), t = ctx.tid();
   const int cpt = (naug + p - 1) / p;  // columns per thread
 
@@ -463,7 +463,7 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
     else if (gj == n)
       for (int i = 0; i < n; ++i) A.set(i, jj, gb.ld(bbase + i));
   }
-  ctx.sync();
+  co_await ctx.sync();
 
   for (int c = 0; c < n - 1; ++c) {
     // 1. Entire column operation local to the owning thread.
@@ -482,7 +482,7 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
         v_sh.st(i, v);
       }
     }
-    ctx.sync();
+    co_await ctx.sync();
     // 2. Matvec + rank-1 fused: no cross-thread reduction needed.
     ctx.tag(OpTag::matvec);
     const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
@@ -497,7 +497,7 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
       for (int i = c; i < n; ++i) A.sub(i, jj, v_sh.ld(i) * w);
       ctx.tag(OpTag::matvec);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   // Back substitution: serialized on the thread owning the augmented column.
@@ -507,14 +507,14 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
       const int lc = c / p;
       for (int i = 0; i <= c; ++i) v_sh.st(i, A.get(i, lc));
     }
-    ctx.sync();
+    co_await ctx.sync();
     if (t == n % p) {
       const int la = n / p;
       const gfloat x = A.get(c, la) / v_sh.ld(c);
       A.set(c, la, x);
       for (int i = 0; i < c; ++i) A.sub(i, la, v_sh.ld(i) * x);
     }
-    ctx.sync();
+    co_await ctx.sync();
   }
 
   ctx.tag(OpTag::store);

@@ -27,9 +27,9 @@ GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
   float* ev = eigenvalues.data();
   const int count = batch.count();
 
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
+    if (k >= count) co_return;
     auto g = ctx.global(data);
     const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
 

@@ -31,9 +31,9 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
   spec.regs_per_thread = per_block_regs(dev.config(), m, n, threads, 1);
   spec.name = "gemm_per_block";
 
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     const int kidx = ctx.block();
-    if (kidx >= count) return;
+    if (kidx >= count) co_return;
     Grid2D g2(ctx.tid(), ctx.nthreads(), m, n);
     auto ga = ctx.global(a_data);
     auto gb = ctx.global(b_data);
@@ -57,7 +57,7 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
         acol.st(i, ga.ld(abase + i + static_cast<std::ptrdiff_t>(l) * m));
       for (int j = ctx.tid(); j < n; j += ctx.nthreads())
         brow.st(j, gb.ld(bbase + l + static_cast<std::ptrdiff_t>(j) * kk));
-      ctx.sync();
+      co_await ctx.sync();
       // Rank-1 accumulation into the register tile.
       ctx.tag(OpTag::rank1);
       for (int jj = 0; jj < g2.wreg; ++jj) {
@@ -69,7 +69,7 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
           if (gi < m) C.set(ii, jj, gfma(acol.ld(gi), bj, C.get(ii, jj)));
         }
       }
-      ctx.sync();
+      co_await ctx.sync();
     }
 
     ctx.tag(OpTag::store);

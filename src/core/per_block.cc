@@ -59,7 +59,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchF& batch,
   const auto spec = block_spec(dev.config(), batch.count(), threads, m, n, 1,
                                "qr_per_block");
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gfloat>(ctx, arg);
+    return detail::qr_block_2d<simt::gfloat>(ctx, arg);
   });
   return GpuBatchResult{res, model::qr_flops(m, n) * batch.count()};
 }
@@ -83,7 +83,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchC& batch,
   const auto spec = block_spec(dev.config(), batch.count(), threads, m, n, 2,
                                "cqr_per_block");
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gcomplex>(ctx, arg);
+    return detail::qr_block_2d<simt::gcomplex>(ctx, arg);
   });
   return GpuBatchResult{res, model::cqr_flops(m, n) * batch.count()};
 }
@@ -107,7 +107,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
     const auto spec = block_spec(dev.config(), a.count(), threads, n, n + 1, 1,
                                  "qr_solve_per_block_2d");
     res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<simt::gfloat>(ctx, arg);
+      return detail::qr_block_2d<simt::gfloat>(ctx, arg);
     });
   } else {
     detail::Qr1DArgs arg;
@@ -127,7 +127,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
           std::min(dev.config().max_regs_per_thread,
                    rpt * (n + 1) + dev.config().reg_overhead_per_thread);
       res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-        detail::qr_solve_block_1drow(ctx, arg);
+        return detail::qr_solve_block_1drow(ctx, arg);
       });
     } else {
       const int cpt = (n + 2 + threads - 1) / threads;
@@ -135,7 +135,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
           std::min(dev.config().max_regs_per_thread,
                    cpt * n + dev.config().reg_overhead_per_thread);
       res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-        detail::qr_solve_block_1dcol(ctx, arg);
+        return detail::qr_solve_block_1dcol(ctx, arg);
       });
     }
   }
@@ -160,7 +160,7 @@ GpuBatchResult lu_per_block(regla::simt::Device& dev, BatchF& batch,
   const auto spec = block_spec(dev.config(), batch.count(), threads, n, n, 1,
                                "lu_per_block");
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::lu_block_2d(ctx, arg);
+    return detail::lu_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::lu_flops(n) * batch.count()};
 }
@@ -185,7 +185,7 @@ GpuBatchResult gj_solve_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b
   const auto spec = block_spec(dev.config(), a.count(), threads, n, n + 1, 1,
                                "gj_solve_per_block");
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::gj_block_2d(ctx, arg);
+    return detail::gj_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::gj_flops(n) * a.count()};
 }
@@ -210,7 +210,7 @@ GpuBatchResult ls_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b,
   const auto spec = block_spec(dev.config(), a.count(), threads, m, n + 1, 1,
                                "ls_per_block");
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gfloat>(ctx, arg);
+    return detail::qr_block_2d<simt::gfloat>(ctx, arg);
   });
   return GpuBatchResult{res, model::ls_flops(m, n) * a.count()};
 }

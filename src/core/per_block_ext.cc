@@ -27,7 +27,7 @@ GpuBatchResult cholesky_per_block(regla::simt::Device& dev, BatchF& batch,
   spec.regs_per_thread = per_block_regs(dev.config(), n, n, threads, 1);
   spec.name = "cholesky_per_block";
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::cholesky_block_2d(ctx, arg);
+    return detail::cholesky_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::cholesky_flops(n) * batch.count()};
 }
@@ -61,7 +61,7 @@ GpuBatchResult trsm_lower_per_block(regla::simt::Device& dev, const BatchF& l,
                n * cpt / 2 + dev.config().reg_overhead_per_thread);
   spec.name = "trsm_lower_per_block";
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::trsm_lower_block(ctx, arg);
+    return detail::trsm_lower_block(ctx, arg);
   });
   return GpuBatchResult{res, model::trsm_flops(n) * l.count()};
 }
@@ -88,7 +88,7 @@ GpuBatchResult lu_pivot_per_block(regla::simt::Device& dev, BatchF& batch,
   spec.regs_per_thread = per_block_regs(dev.config(), n, n, threads, 1);
   spec.name = "lu_pivot_per_block";
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::lu_pivot_block_2d(ctx, arg);
+    return detail::lu_pivot_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::lu_flops(n) * batch.count()};
 }
@@ -126,7 +126,7 @@ GpuBatchResult normal_eq_impl(regla::simt::Device& dev, const Batch& r,
                n * cpt * wpe / 2 + dev.config().reg_overhead_per_thread);
   spec.name = "normal_eq_solve_per_block";
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::normal_eq_solve_block<S>(ctx, arg);
+    return detail::normal_eq_solve_block<S>(ctx, arg);
   });
   return GpuBatchResult{res, flops_per_problem * r.count()};
 }
@@ -173,7 +173,7 @@ GpuBatchResult apply_qt_impl(regla::simt::Device& dev, const Batch& qr,
   spec.regs_per_thread = per_block_regs(dev.config(), m, n, threads, wpe);
   spec.name = "apply_qt_per_block";
   auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::apply_qt_block_2d<S>(ctx, arg);
+    return detail::apply_qt_block_2d<S>(ctx, arg);
   });
   const double flops =
       flops_scale * (2.0 * m * n - static_cast<double>(n) * n) * qr.count();

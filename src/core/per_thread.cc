@@ -63,9 +63,9 @@ GpuBatchResult qr_per_thread(regla::simt::Device& dev, BatchF& batch,
   float* tau_data = taus ? taus->data() : nullptr;
   const int count = batch.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
+    if (k >= count) co_return;
     auto g = ctx.global(data);
     const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
     auto a = ctx.reg_tile<gfloat>(n, n);
@@ -119,9 +119,9 @@ GpuBatchResult lu_per_thread(regla::simt::Device& dev, BatchF& batch) {
   float* data = batch.data();
   const int count = batch.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
+    if (k >= count) co_return;
     auto g = ctx.global(data);
     const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
     auto a = ctx.reg_tile<gfloat>(n, n);
@@ -158,9 +158,9 @@ GpuBatchResult gj_solve_per_thread(regla::simt::Device& dev, BatchF& a,
   int* flag_data = flags ? flags->data() : nullptr;
   const int count = a.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
+    if (k >= count) co_return;
     auto ga = ctx.global(a_data);
     auto gb = ctx.global(b_data);
     const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;

@@ -91,7 +91,7 @@ TiledResult tiled_qr_impl(simt::Device& dev,
     spec.regs_per_thread = per_block_regs(dev.config(), rows, n, 256, wpe);
     spec.name = "tiled_qr_step";
     auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<S>(ctx, arg);
+      return detail::qr_block_2d<S>(ctx, arg);
     });
     out.seconds += res.seconds;
     out.chip_cycles += res.chip_cycles;
@@ -175,7 +175,7 @@ TiledResult tiled_least_squares(regla::simt::Device& dev, BatchF& a, BatchF& b,
     spec.regs_per_thread = per_block_regs(dev.config(), rows, n + 1, 256, 1);
     spec.name = "tiled_ls_step";
     auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<simt::gfloat>(ctx, arg);
+      return detail::qr_block_2d<simt::gfloat>(ctx, arg);
     });
     out.seconds += res.seconds;
     out.chip_cycles += res.chip_cycles;

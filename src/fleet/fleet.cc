@@ -229,8 +229,8 @@ void Fleet::record_reroute_away(int device_id) {
 
 int Fleet::add_device(DeviceSpec spec) {
   const int streams = std::max(1, spec.streams);
-  // Build the streams outside the lock — Device construction spins up fiber
-  // stacks and host workers.
+  // Build the streams outside the lock — constructing a stream's Device and
+  // Solver allocates, and routing need not wait for it.
   std::vector<std::unique_ptr<Stream>> built;
   built.reserve(streams);
   for (int i = 0; i < streams; ++i)

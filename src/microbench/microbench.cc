@@ -25,12 +25,12 @@ double shared_copy_cycles(regla::simt::Device& dev, int blocks, int iters) {
   spec.regs_per_thread = 24;
   spec.name = "shared_copy";
   constexpr int kCopies = 8;
-  auto res = dev.launch(spec, [iters](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [iters](BlockCtx& ctx) -> simt::Lane {
     auto smem = ctx.shared<float>(256 * kCopies);
     // Warm the arena (stores are not part of the timed loop on hardware
     // either — the paper times steady-state loads).
     for (int j = 0; j < kCopies; ++j) smem.st(ctx.tid() + j * 256, gfloat(1.0f));
-    ctx.sync();
+    co_await ctx.sync();
     gfloat acc[kCopies];
     for (int i = 0; i < iters; ++i)
       for (int j = 0; j < kCopies; ++j)
@@ -83,7 +83,7 @@ double global_copy_gbs(regla::simt::Device& dev, std::size_t megabytes) {
   spec.name = "global_copy";
   float* xp = x.data();
   float* yp = y.data();
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
     auto gx = ctx.global(xp);
     auto gy = ctx.global(yp);
     // Grid-strided unrolled copy: warp-contiguous, fully coalesced.
@@ -95,6 +95,7 @@ double global_copy_gbs(regla::simt::Device& dev, std::size_t megabytes) {
       const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(lane + i * stride);
       gy.st(idx, gx.ld(idx));
     }
+    co_return;
   });
   const double bytes = 2.0 * static_cast<double>(per_thread) * blocks * threads * 4;
   return bytes / res.seconds / 1e9;
@@ -107,10 +108,10 @@ double shared_latency_cycles(regla::simt::Device& dev) {
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "shared_chase";
-    auto res = dev.launch(spec, [steps](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [steps](BlockCtx& ctx) -> simt::Lane {
       auto smem = ctx.shared<int>(1024);
       for (int i = 0; i < 1024; ++i) smem.st(i, (i + 1) & 1023);
-      ctx.sync();
+      co_await ctx.sync();
       int acc = 0;
       for (int i = 0; i < steps; ++i) acc = smem.ld_dep(acc);
       smem.st(0, acc);  // keep the chain alive
@@ -131,7 +132,7 @@ double global_latency_cycles(regla::simt::Device& dev, std::size_t stride_words,
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "global_chase";
-    auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
       auto g = ctx.global(base);
       // Non-wrapping walk: the hardware benchmark's array (len_words) is far
       // larger than steps * stride revisits, so the chase never re-touches a
@@ -142,6 +143,7 @@ double global_latency_cycles(regla::simt::Device& dev, std::size_t stride_words,
         g.touch_dep(static_cast<std::ptrdiff_t>(idx));
         idx += stride_words;
       }
+      co_return;
     });
     return res.chip_cycles;
   };
@@ -156,8 +158,8 @@ double sync_latency_cycles(regla::simt::Device& dev, int threads) {
     spec.threads = threads;
     spec.regs_per_thread = 16;
     spec.name = "sync_chain";
-    auto res = dev.launch(spec, [count](BlockCtx& ctx) {
-      for (int i = 0; i < count; ++i) ctx.sync();
+    auto res = dev.launch(spec, [count](BlockCtx& ctx) -> simt::Lane {
+      for (int i = 0; i < count; ++i) co_await ctx.sync();
     });
     return res.chip_cycles;
   };
@@ -173,11 +175,12 @@ double fp_pipeline_cycles(regla::simt::Device& dev) {
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "fma_chain";
-    auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [=](BlockCtx& ctx) -> simt::Lane {
       (void)ctx;
       gfloat acc(1.0f);
       for (int i = 0; i < steps; ++i)
         acc = simt::gfma_dep(acc, gfloat(1.0000001f), gfloat(1e-7f), pipe);
+      co_return;
     });
     return res.chip_cycles;
   };

@@ -157,7 +157,8 @@ namespace {
 
 /// Replay-cache discriminator for everything the launch geometry does not
 /// already key: problem dims, dtype, the plan knobs the launcher folds into
-/// the kernel, the device-config fingerprint, and the payload base-address
+/// the kernel, the device-config fingerprint, a ragged tile's embedding, and
+/// the payload base-address
 /// alignment classes (the DRAM coalescing pattern of block b is the class of
 /// base + b*stride mod segment, so two batches whose bases land in different
 /// classes must not share cached accounting).
@@ -174,6 +175,7 @@ std::uint64_t replay_salt(const regla::simt::Device& dev,
   mix(static_cast<std::uint64_t>(plan.approach));
   mix(static_cast<std::uint64_t>(plan.layout));
   mix(static_cast<std::uint64_t>(plan.threads));
+  mix(call.embedding);
   const std::uint64_t seg =
       std::max<std::uint64_t>(1, dev.config().dram_segment_bytes);
   const auto mix_base = [&](const void* p) {

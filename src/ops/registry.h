@@ -65,6 +65,11 @@ struct Call {
   BatchC* ca = nullptr;    ///< c64 matrix batch
   BatchC* ctaus = nullptr;
   core::SolveOptions opts; ///< request-level knobs (threads/layout/method)
+  /// How the problems sit in a padded ragged tile: a hash of their true
+  /// shapes, 0 when unpadded. Identity padding changes a kernel's accounting
+  /// (QR skips the reflectors of the padded columns), so the replay cache
+  /// keys on it alongside the tile dims.
+  std::uint64_t embedding = 0;
 
   planner::Dtype dtype() const {
     return ca != nullptr ? planner::Dtype::c64 : planner::Dtype::f32;

@@ -474,6 +474,7 @@ SolveReport Runtime::solve_one(fleet::Stream& s, const Signature& sig,
     if (opt_.solve_override) return opt_.solve_override(sig, p.a, p.b);
     call.a = &p.a;
     if (p.b.count() > 0) call.b = &p.b;
+    call.embedding = p.embedding;
   }
   return s.solver().run(sig.op, call);
 }
@@ -705,6 +706,14 @@ Runtime::Assembled Runtime::assemble(Batch& batch) {
         as.padded = true;
         break;
       }
+  if (as.padded) {
+    std::uint64_t h = 0;
+    for (const Pending& req : batch.requests)
+      for (const int v : {req.payload.a.rows(), req.payload.a.cols(),
+                          req.payload.a.count()})
+        h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+    as.payload.embedding = h | 1;  // never 0, the unpadded value
+  }
   // Zero-copy tiers, resilience off only: solving writes straight into the
   // submitters' buffers, which forfeits the pristine epoch a retry restore
   // needs. (Resilient batches always stage — that staging copy is the same

@@ -380,6 +380,8 @@ class Runtime {
     BatchF a, b;
     BatchC ca;
     bool is_complex = false;
+    /// ops::Call::embedding of a ragged batch padded to its tile (0 = none).
+    std::uint64_t embedding = 0;
     int problems() const { return is_complex ? ca.count() : a.count(); }
   };
   struct Pending {

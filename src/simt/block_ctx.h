@@ -1,9 +1,11 @@
 // BlockCtx: the device-side view a kernel thread gets — CUDA's threadIdx /
 // blockIdx / __syncthreads() / __shared__ equivalents, instrumented.
 //
-// A kernel is any callable `void(BlockCtx&)`; the engine runs it once per
-// device thread (as a fiber). Shared allocations must be performed by every
-// thread in the same order, mirroring lexical __shared__ declarations.
+// A kernel is a coroutine `Lane(BlockCtx&)` (simt/lane.h); the engine runs
+// it once per device thread. __syncthreads() is `co_await ctx.sync()`, and a
+// kernel with no barrier still ends in `co_return;` so that it is a
+// coroutine. Shared allocations must be performed by every thread in the
+// same order, mirroring lexical __shared__ declarations.
 #pragma once
 
 #include <complex>
@@ -12,6 +14,7 @@
 
 #include "simt/device_config.h"
 #include "simt/global_mem.h"
+#include "simt/lane.h"
 #include "simt/reg_tile.h"
 #include "simt/shared_mem.h"
 
@@ -28,9 +31,9 @@ struct BlockState {
 class BlockCtx {
  public:
   BlockCtx(const DeviceConfig& cfg, BlockState& state, int block, int nblocks,
-           int tid, int nthreads, void (*yield)())
+           int tid, int nthreads)
       : cfg_(&cfg), state_(&state), block_(block), nblocks_(nblocks),
-        tid_(tid), nthreads_(nthreads), yield_(yield) {}
+        tid_(tid), nthreads_(nthreads) {}
 
   // --- identity ----------------------------------------------------------
   int tid() const { return tid_; }
@@ -40,9 +43,10 @@ class BlockCtx {
   const DeviceConfig& config() const { return *cfg_; }
 
   // --- barrier -----------------------------------------------------------
-  /// __syncthreads(): yields to the block scheduler; the engine folds the
-  /// phase once every live thread has arrived.
-  void sync() { yield_(); }
+  /// __syncthreads(), as `co_await ctx.sync()`: suspends the lane back to
+  /// the block's stepping loop, which folds the phase once every live lane
+  /// has arrived.
+  [[nodiscard]] Barrier sync() const noexcept { return {}; }
 
   // --- memory ------------------------------------------------------------
   /// Allocate (or attach to) a block-level shared array of `elems` elements.
@@ -82,7 +86,6 @@ class BlockCtx {
   int tid_;
   int nthreads_;
   int alloc_cursor_ = 0;
-  void (*yield_)();
 };
 
 }  // namespace regla::simt

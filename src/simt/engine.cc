@@ -12,7 +12,6 @@
 #include "cpu/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simt/fiber.h"
 #include "simt/replay.h"
 #include "simt/timing.h"
 #include "simt/trace.h"
@@ -66,7 +65,7 @@ Device::ReplayScope::~ReplayScope() {
 
 namespace {
 
-/// Per-warp liveness masks: the stepping loops touch only warps with live
+/// Per-warp liveness masks: the stepping loop touches only warps with live
 /// lanes, and within a warp walk the set bits — a retired warp costs one
 /// load per phase, and the lanes of a live warp run as one contiguous loop
 /// between sync points (the SIMD stepping restructure; warp_size <= 32 fits
@@ -87,32 +86,40 @@ struct WarpLiveness {
   }
 };
 
-/// Run one block instrumented: every lane's counters recorded and folded
-/// into a PhaseRecord at each sync boundary.
-BlockRun run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
-                   const KernelFn& body, int block_id) {
-  BlockRun out;
+/// Points current_stats() at nothing again when a block ends, normally or
+/// by a lane's exception, so no host code on this thread can bump counters
+/// in a finished block's stats.
+struct StatsReset {
+  ~StatsReset() { current_stats() = nullptr; }
+};
+
+/// Run one block: create a lane per device thread, then step the live lanes
+/// in warp order, each to its next barrier or to completion; that boundary
+/// is a phase. With `out` (an empty BlockRun), the block runs instrumented:
+/// every lane's counters are recorded and folded into one PhaseRecord per
+/// phase, appended to `out`. Without it, the block runs functionally only
+/// (what replayed blocks execute): current_stats() stays null, so the
+/// instrumented device types skip their recording branches, and the
+/// numerics are bit-identical to the instrumented run.
+void run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
+               const KernelFn& body, int block_id, BlockRun* out) {
   BlockState state;
-  std::vector<ThreadStats> stats(spec.threads);
   std::vector<BlockCtx> ctxs;
   ctxs.reserve(spec.threads);
   for (int t = 0; t < spec.threads; ++t)
-    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads,
-                      &Fiber::yield);
+    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads);
+  std::vector<Lane> lanes;
+  lanes.reserve(spec.threads);
+  for (int t = 0; t < spec.threads; ++t) lanes.push_back(body(ctxs[t]));
 
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    fibers.push_back(std::make_unique<Fiber>(
-        [&body, &ctxs, t] { body(ctxs[t]); }, spec.fiber_stack_bytes));
-
-  fast_math_enabled() = cfg.fast_math;
-  WarpLiveness wl(spec.threads, cfg.warp_size);
+  std::vector<ThreadStats> stats(out != nullptr ? spec.threads : 0);
   FoldScratch scratch;
+  fast_math_enabled() = cfg.fast_math;
+  const StatsReset reset;
+  current_stats() = nullptr;
+  WarpLiveness wl(spec.threads, cfg.warp_size);
   int alive = spec.threads;
   while (alive > 0) {
-    // One pass: every live fiber runs to its next __syncthreads() or to
-    // completion; that boundary is a phase.
     for (std::size_t w = 0; w < wl.live.size(); ++w) {
       std::uint32_t mask = wl.live[w];
       if (mask == 0) continue;  // whole warp retired
@@ -121,64 +128,23 @@ BlockRun run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
         const int lane = std::countr_zero(mask);
         mask &= mask - 1;
         const int t = base + lane;
-        current_stats() = &stats[t];
-        if (!fibers[t]->resume()) {
+        if (out != nullptr) current_stats() = &stats[t];
+        if (!lanes[t].resume()) {
           wl.live[w] &= ~(1u << lane);
           --alive;
         }
       } while (mask != 0);
     }
+    if (out == nullptr) continue;
     current_stats() = nullptr;
     const bool ended_with_sync = alive > 0;
-    out.phases.push_back(fold_phase(cfg, stats, state.current_tag,
-                                    state.current_panel, ended_with_sync,
-                                    &scratch));
-    if (ended_with_sync) ++out.syncs;
+    out->phases.push_back(fold_phase(cfg, stats, state.current_tag,
+                                     state.current_panel, ended_with_sync,
+                                     &scratch));
+    if (ended_with_sync) ++out->syncs;
     for (ThreadStats& s : stats) s.reset();
   }
-  out.shared_bytes = state.shared.total_bytes();
-  return out;
-}
-
-/// Run one block functionally only — no counters, no folds, no PhaseRecords.
-/// current_stats() stays null so the instrumented device types skip their
-/// recording branches entirely; the kernel's numerics are bit-identical to
-/// the instrumented path. This is what replayed blocks execute.
-void run_block_fast(const DeviceConfig& cfg, const LaunchSpec& spec,
-                    const KernelFn& body, int block_id) {
-  BlockState state;
-  std::vector<BlockCtx> ctxs;
-  ctxs.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads,
-                      &Fiber::yield);
-
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    fibers.push_back(std::make_unique<Fiber>(
-        [&body, &ctxs, t] { body(ctxs[t]); }, spec.fiber_stack_bytes));
-
-  fast_math_enabled() = cfg.fast_math;
-  current_stats() = nullptr;
-  WarpLiveness wl(spec.threads, cfg.warp_size);
-  int alive = spec.threads;
-  while (alive > 0) {
-    for (std::size_t w = 0; w < wl.live.size(); ++w) {
-      std::uint32_t mask = wl.live[w];
-      if (mask == 0) continue;
-      const int base = static_cast<int>(w) * wl.lanes_per_word;
-      do {
-        const int lane = std::countr_zero(mask);
-        mask &= mask - 1;
-        const int t = base + lane;
-        if (!fibers[t]->resume()) {
-          wl.live[w] &= ~(1u << lane);
-          --alive;
-        }
-      } while (mask != 0);
-    }
-  }
+  if (out != nullptr) out->shared_bytes = state.shared.total_bytes();
 }
 
 /// Project the launch's per-phase cycle breakdown into the wall-clock window
@@ -299,12 +265,8 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
         std::clamp(configured, 1, static_cast<int>(todo.size()));
     const auto one = [&](int b) {
       if (b == poison_block) return;  // poisoned: silently skipped
-      if (instrumented) {
-        runs[b] = run_block(cfg_, spec, body, b);
-        instr[static_cast<std::size_t>(b)] = 1;
-      } else {
-        run_block_fast(cfg_, spec, body, b);
-      }
+      run_block(cfg_, spec, body, b, instrumented ? &runs[b] : nullptr);
+      if (instrumented) instr[static_cast<std::size_t>(b)] = 1;
     };
     if (workers == 1) {
       for (int b : todo) one(b);

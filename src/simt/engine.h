@@ -1,5 +1,6 @@
-// The launch engine: runs kernels functionally (fibers) and produces timing
-// (cycles on the configured chip) plus instrumentation breakdowns.
+// The launch engine: runs kernels functionally (one stackless lane per device
+// thread, simt/lane.h) and produces timing (cycles on the configured chip)
+// plus instrumentation breakdowns.
 #pragma once
 
 #include <functional>
@@ -22,7 +23,13 @@ namespace regla::simt {
 
 class ReplayCache;
 
-using KernelFn = std::function<void(BlockCtx&)>;
+/// A kernel: called once per device thread, it returns that thread's lane
+/// (a coroutine, simt/lane.h). Lifetime rule: a lane's frame may refer to
+/// the KernelFn's captures — kernel functions take their arguments by
+/// reference to the launch lambda's copy — and Device::launch keeps the
+/// KernelFn alive until every lane of the launch is destroyed. Anything else
+/// a lane refers to must outlive the launch() call.
+using KernelFn = std::function<Lane(BlockCtx&)>;
 
 struct LaunchSpec {
   int blocks = 1;
@@ -31,7 +38,6 @@ struct LaunchSpec {
   /// HW max; tiles that exceed the budget additionally spill — see RegTile).
   int regs_per_thread = 32;
   std::string name;
-  std::size_t fiber_stack_bytes = 128 * 1024;
 };
 
 /// Cycle attribution bucket for the Table V / Fig. 8 breakdowns.
@@ -84,6 +90,10 @@ class Device {
   /// Run `body` for every thread of every block; returns full timing and
   /// instrumentation. Functionally exact: all side effects on host memory
   /// wrapped by ctx.global() have happened when this returns.
+  ///
+  /// An exception escaping a lane aborts its block and is rethrown here;
+  /// every lane of that block is destroyed first, unwinding the locals of
+  /// the lanes still suspended at a barrier.
   ///
   /// Fault hooks (config().faults, simt/fault.h): may throw
   /// TransientLaunchFailure *before any block runs* (payload untouched,

@@ -80,7 +80,7 @@ class gfloat {
   friend bool operator>=(gfloat a, gfloat b) { return a.v_ >= b.v_; }
 
  private:
-  static void tick1() {
+  [[gnu::always_inline]] static void tick1() {
     auto* s = current_stats();
     if (s) { ++s->flops; ++s->fp_instrs; }
   }

@@ -75,12 +75,12 @@ class Global {
   Global(T* ptr, const DeviceConfig& cfg, GlobalLatencyModel* chase)
       : ptr_(ptr), cfg_(&cfg), chase_(chase) {}
 
-  value_type ld(std::ptrdiff_t i) const {
+  [[gnu::always_inline]] value_type ld(std::ptrdiff_t i) const {
     log(i, true);
     return value_type(ptr_[i]);
   }
 
-  void st(std::ptrdiff_t i, value_type v) const
+  [[gnu::always_inline]] void st(std::ptrdiff_t i, value_type v) const
     requires(!std::is_const_v<T>)
   {
     log(i, false);
@@ -114,9 +114,13 @@ class Global {
   std::uint64_t addr(std::ptrdiff_t i) const {
     return reinterpret_cast<std::uint64_t>(ptr_ + i);
   }
-  void log(std::ptrdiff_t i, bool is_load) const {
-    auto* s = current_stats();
-    if (s == nullptr) return;
+  [[gnu::always_inline]] void log(std::ptrdiff_t i, bool is_load) const {
+    if (auto* s = current_stats()) record(s, i, is_load);
+  }
+
+  /// The instrumented half of log(), out of line like SharedArray's.
+  [[gnu::noinline]] void record(ThreadStats* s, std::ptrdiff_t i,
+                                bool is_load) const {
     s->record_global(addr(i), sizeof(T), is_load,
                      static_cast<std::uint32_t>(cfg_->dram_segment_bytes));
   }

@@ -41,22 +41,22 @@ class RegTile {
     return std::max(0, (h_ * w_ - fit_) * words_per_elem());
   }
 
-  V get(int i, int j) const {
+  [[gnu::always_inline]] V get(int i, int j) const {
     touch(i, j);
     return a_[idx(i, j)];
   }
-  void set(int i, int j, V v) {
+  [[gnu::always_inline]] void set(int i, int j, V v) {
     touch(i, j);
     a_[idx(i, j)] = v;
   }
 
   /// In-place update helpers avoid double-charging spill traffic for the
   /// read-modify-write idiom in trailing updates.
-  void sub(int i, int j, V v) {
+  [[gnu::always_inline]] void sub(int i, int j, V v) {
     touch(i, j);
     a_[idx(i, j)] = a_[idx(i, j)] - v;
   }
-  void scale(int i, int j, V s) {
+  [[gnu::always_inline]] void scale(int i, int j, V s) {
     touch(i, j);
     a_[idx(i, j)] = a_[idx(i, j)] * s;
   }
@@ -65,13 +65,13 @@ class RegTile {
   static constexpr int words_per_elem() {
     return static_cast<int>(sizeof(V) / 4);
   }
-  int idx(int i, int j) const {
+  [[gnu::always_inline]] int idx(int i, int j) const {
     REGLA_CHECK_MSG(i >= 0 && i < h_ && j >= 0 && j < w_,
                     "RegTile access (" << i << "," << j << ") out of " << h_
                                        << "x" << w_);
     return i + j * h_;
   }
-  void touch(int i, int j) const {
+  [[gnu::always_inline]] void touch(int i, int j) const {
     // Column-major linear position decides residence: the first fit_ elements
     // live in registers, everything past them is spilled.
     if (i + j * h_ < fit_) return;

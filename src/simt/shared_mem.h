@@ -89,12 +89,12 @@ class SharedArray {
 
   int size() const { return elems_; }
 
-  value_type ld(int i) const {
+  [[gnu::always_inline]] value_type ld(int i) const {
     log(i);
     return value_type(raw(i));
   }
 
-  void st(int i, value_type v) {
+  [[gnu::always_inline]] void st(int i, value_type v) {
     log(i);
     raw(i) = to_storage(v);
   }
@@ -109,14 +109,19 @@ class SharedArray {
   }
 
  private:
-  T& raw(int i) const {
+  [[gnu::always_inline]] T& raw(int i) const {
     REGLA_CHECK_MSG(i >= 0 && i < elems_, "shared access out of bounds: " << i);
     return reinterpret_cast<T*>(arena_->bytes.data())[i];
   }
 
-  void log(int i) const {
-    auto* s = current_stats();
-    if (s == nullptr) return;
+  [[gnu::always_inline]] void log(int i) const {
+    if (auto* s = current_stats()) record(s, i);
+  }
+
+  /// The instrumented half of log(), out of line so every inlined ld/st
+  /// stays a null test, a bounds check and a raw access on the replay fast
+  /// path.
+  [[gnu::noinline]] void record(ThreadStats* s, int i) const {
     const std::uint32_t w0 =
         arena_->base_word + static_cast<std::uint32_t>(i) * detail::kWordsPerElem<T>;
     for (std::uint32_t k = 0; k < detail::kWordsPerElem<T>; ++k)

@@ -1,7 +1,7 @@
 // Per-thread event counters for the SIMT timing model.
 //
 // Device code does not carry a context through every arithmetic expression;
-// instead the block executor points `current_stats()` at the running fiber's
+// instead the block executor points `current_stats()` at the running lane's
 // ThreadStats, and the instrumented device types (gfloat, Shared<T>,
 // Global<T>, RegTile) record events through it. At each __syncthreads() the
 // executor folds all threads' counters into a PhaseRecord and resets them.
@@ -143,7 +143,7 @@ namespace detail {
 inline thread_local ThreadStats* t_current_stats = nullptr;
 }  // namespace detail
 
-/// The executor's per-host-thread pointer at the running fiber's counters.
+/// The executor's per-host-thread pointer at the running lane's counters.
 /// Null while no instrumented block is executing: every instrumented device
 /// type (gfloat, SharedArray, Global, RegTile) null-checks it, so the same
 /// kernels also run uninstrumented — the engine's replay fast path.

@@ -490,6 +490,37 @@ TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {
   rt.shutdown();
 }
 
+// A padded tile folds differently from a dense one of the same dims (QR
+// skips the reflectors of identity-padded columns), so replay must not serve
+// one's cached accounting to the other: with replay on, every batch reports
+// the simulated seconds a full simulation gives. Retries on make every batch
+// stage, so dense and padded batches share the staging alignment class.
+TEST(RuntimeRagged, ReplayKeysOnTheEmbedding) {
+  const auto seconds_per_batch = [](bool replay) {
+    RuntimeOptions opt;
+    opt.workers = 1;
+    opt.host_threads_per_stream = 1;
+    opt.max_batch_delay = 10s;
+    opt.ragged = true;
+    opt.replay = replay;
+    opt.max_retries = 1;
+    Runtime rt(opt);
+    std::vector<double> seconds;
+    for (const int n : {32, 30, 32, 28, 30}) {
+      BatchF a(2, n, n);
+      fill_uniform(a, 40 + n);
+      auto f = rt.submit(Op::qr, std::move(a));
+      rt.flush();
+      seconds.push_back(f.get().seconds);
+    }
+    rt.shutdown();
+    return seconds;
+  };
+  const std::vector<double> replayed = seconds_per_batch(true);
+  EXPECT_EQ(replayed, seconds_per_batch(false));
+  EXPECT_NE(replayed[0], replayed[1]);  // the padding does change accounting
+}
+
 // Ragged staging retries re-gather the padded epoch too: transient failures
 // across a mixed batch still converge to exactly-once doubling.
 TEST(RuntimeRagged, RetryRegathersPaddedEpoch) {

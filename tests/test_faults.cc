@@ -2,7 +2,7 @@
 //
 // EngineFault.* drive the simt::Device fault hooks directly (determinism,
 // latency spikes, poisoned results). RuntimeFault.* drive the serving
-// runtime's typed-error taxonomy through the solve_override hook (no fibers,
+// runtime's typed-error taxonomy through the solve_override hook (no kernels,
 // TSan-friendly): bounded retry with backoff, end-to-end deadlines, shed-on-
 // saturation admission control, and the accounting invariant that every
 // future issued resolves exactly once, typed. RuntimeFaultSolve.* run the
@@ -53,8 +53,9 @@ std::set<int> launch_marking(simt::Device& dev, int blocks,
   std::vector<int> hits(blocks, 0);
   int* h = hits.data();
   const simt::LaunchResult res =
-      dev.launch(tiny_spec(blocks), [=](simt::BlockCtx& ctx) {
+      dev.launch(tiny_spec(blocks), [=](simt::BlockCtx& ctx) -> simt::Lane {
         if (ctx.tid() == 0) ctx.global(h).st(ctx.block(), 1);
+        co_return;
       });
   if (out) *out = res;
   std::set<int> ran;
@@ -140,7 +141,7 @@ TEST(EngineFault, PoisonedResultSkipsExactlyOneBlock) {
   EXPECT_EQ(dev.fault_stats().poisoned_launches, 1u);
 }
 
-// --- Runtime resilience (override-driven, no fibers) -----------------------
+// --- Runtime resilience (override-driven, no kernels) ----------------------
 
 constexpr int kN = 8;
 

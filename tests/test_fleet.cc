@@ -4,7 +4,7 @@
 //
 // FleetRouter.* / FleetCache.* / FleetUnit.* are lock-light unit tests;
 // FleetLifecycle.* drive a Runtime through the solve_override hook (no
-// fibers, TSan-friendly); FleetFault.* run real kernels under deterministic
+// kernels, TSan-friendly); FleetFault.* run real kernels under deterministic
 // seeded faults and hard kills.
 #include <gtest/gtest.h>
 
@@ -254,7 +254,7 @@ TEST(FleetMetrics, PublishMetricsRestampsTopology) {
             static_cast<double>(DeviceState::active));
 }
 
-// --- Runtime over the fleet (override-driven, no fibers) -------------------
+// --- Runtime over the fleet (override-driven, no kernels) ------------------
 
 std::atomic<int> g_slow_solves{0};
 

@@ -3,7 +3,7 @@
 // through real kernels.
 //
 // RuntimeQueue.* tests exercise the queueing machinery through the
-// solve_override hook (no fibers, TSan-friendly); RuntimeSolve.* run the real
+// solve_override hook (no kernels, TSan-friendly); RuntimeSolve.* run the real
 // simulated kernels.
 #include <gtest/gtest.h>
 

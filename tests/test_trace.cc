@@ -142,18 +142,20 @@ TEST(StatsTruncation, LaunchExportsTruncationCounter) {
   LaunchSpec spec;
   spec.threads = 1;
   const int over = static_cast<int>(ThreadStats::kAddrCap) + 100;
-  const auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  const auto res = dev.launch(spec, [=](BlockCtx& ctx) -> Lane {
     auto sh = ctx.shared<int>(4);
     for (int i = 0; i < over; ++i) sh.st(i % 4, i);
+    co_return;
   });
   EXPECT_GE(res.totals.addr_truncations, 1u);
   EXPECT_GE(obs::counter("engine.addr_truncations").value(), 1u);
 
   // A tiny launch must not trip the cap.
   obs::counter("engine.addr_truncations").reset();
-  const auto small = dev.launch(spec, [](BlockCtx& ctx) {
+  const auto small = dev.launch(spec, [](BlockCtx& ctx) -> Lane {
     auto sh = ctx.shared<int>(4);
     sh.st(0, 1);
+    co_return;
   });
   EXPECT_EQ(small.totals.addr_truncations, 0u);
   EXPECT_EQ(obs::counter("engine.addr_truncations").value(), 0u);
