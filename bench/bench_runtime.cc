@@ -51,20 +51,24 @@ using Clock = regla::runtime::Clock;
 constexpr int kProblemsPerRequest = 4;
 
 // --devices N: run every cell against an N-device fleet (one worker stream
-// per device) instead of the single dev0 with `workers` streams.
+// per device) instead of the runtime's default single dev0 with two streams.
 // --kill-device K@t: in each cell, hard-kill fleet device K after t seconds
 // of traffic. The plain sweep arms bounded retry + CPU fallback alongside
 // (its futures are .get() unguarded, so the kill must stay survivable); the
 // resilience sweep already has the full stack on.
-int g_devices = 0;     ///< 0 = legacy single-device shape
+int g_devices = 0;     ///< 0 = the runtime's default single-device fleet
 int g_kill_device = -1;
 double g_kill_at_s = 0;
 
-void apply_fleet_flags(RuntimeOptions& opt) {
-  if (g_devices <= 0) return;
+/// The cell's fleet, every member configured as `cfg`.
+void apply_fleet_flags(RuntimeOptions& opt,
+                       const regla::simt::DeviceConfig& cfg = {}) {
+  if (g_devices <= 0) {
+    opt.devices.push_back({"dev0", cfg, Runtime::kDefaultStreams});
+    return;
+  }
   for (int d = 0; d < g_devices; ++d)
-    opt.devices.push_back(regla::fleet::DeviceSpec{
-        "dev" + std::to_string(d), opt.device, 1});
+    opt.devices.push_back({"dev" + std::to_string(d), cfg, 1});
 }
 
 /// Arms the --kill-device timer for one Runtime's lifetime; joins (and, if
@@ -106,7 +110,6 @@ struct RunResult {
 RunResult run(int n, double rate_rps, bool coalesce, int requests,
               bool saturation = false) {
   RuntimeOptions opt;
-  opt.workers = 2;
   // The saturation tier trades latency budget for batch depth: a 30 ms
   // coalescing window (vs the serving default 500 us) lets every queue fill
   // to its multi-wave flush target — flushes become size-triggered, not
@@ -174,15 +177,15 @@ RunResult run(int n, double rate_rps, bool coalesce, int requests,
 // counters reconcile with what the callers observed.
 int resilience_sweep(int requests) {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.max_batch_delay = 200us;
   opt.max_queue_problems = 1 << 15;
-  opt.device.faults.launch_failure_rate = 0.10;
   opt.max_retries = 3;
   opt.retry_backoff = std::chrono::microseconds{100};
   opt.cpu_fallback = true;
   opt.shed_on_saturation = true;
-  apply_fleet_flags(opt);
+  regla::simt::DeviceConfig flaky;
+  flaky.faults.launch_failure_rate = 0.10;
+  apply_fleet_flags(opt, flaky);
   Runtime rt(opt);
   KillTimer killer(rt);
 
@@ -277,7 +280,6 @@ struct RaggedResult {
 
 RaggedResult run_ragged(bool ragged, double rate_rps, int requests) {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.max_batch_delay = std::chrono::microseconds{10000};
   opt.max_queue_problems = 1 << 15;
   opt.ragged = ragged;
@@ -357,7 +359,6 @@ int ragged_sweep(bool smoke) {
 // binary also self-gates so a local run fails loudly.
 int alloc_audit(bool smoke) {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.max_batch_delay = 10s;  // closed loop: flush manually
   apply_fleet_flags(opt);
   Runtime rt(opt);

@@ -6,13 +6,14 @@
 #include "bench_util.h"
 #include "common/generators.h"
 #include "cpu/batched.h"
-#include "ops/batched_compat.h"
 #include "model/flops.h"
+#include "planner/solver.h"
 
 int main(int argc, char** argv) {
   using namespace regla;
   bench::parse_smoke(argc, argv);
   simt::Device dev;
+  Solver solver(dev);
   Table t({"size", "#matrices", "GPU GFLOPS", "CPU GFLOPS", "speedup",
            "approach", "paper GPU", "paper MKL"});
   t.precision(1);
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
     const int count = bench::smoke_mode() ? std::min(c.count, 32) : c.count;
     BatchC gpu_batch(count, c.m, c.n);
     fill_uniform(gpu_batch, c.m + c.n);
-    const auto gpu = ops::batched_qr(dev, gpu_batch);
+    const SolveReport gpu = solver.qr(gpu_batch);
 
     const int cpu_count = std::min(c.count, bench::pick(64, 8));
     BatchC cpu_batch(cpu_count, c.m, c.n);
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
 
     t.add_row({std::to_string(c.m) + "x" + std::to_string(c.n),
                static_cast<long long>(c.count), gpu.gflops(), cpu_gflops,
-               gpu.gflops() / cpu_gflops, std::string(core::to_string(gpu.approach)),
+               gpu.gflops() / cpu_gflops, std::string(core::to_string(gpu.plan.approach)),
                c.paper_gpu, c.paper_mkl});
   }
   bench::emit(t, "table7", "RT_STAP complex QR factorizations");

@@ -134,15 +134,20 @@ void print_stats(const runtime::RuntimeStats& st, const FleetResult& r) {
   std::printf("simulated device: %.2f ms busy\n", st.device_seconds * 1e3);
 }
 
-int g_devices = 0;     ///< 0 = the legacy single dev0 with two streams
+int g_devices = 0;     ///< 0 = the runtime's default: dev0 with two streams
 int g_kill_device = -1;
 double g_kill_at_s = 0;
 
-void apply_devices(runtime::RuntimeOptions& opt) {
-  if (g_devices <= 0) return;
+/// The fleet, every member configured as `cfg`.
+void apply_devices(runtime::RuntimeOptions& opt,
+                   const simt::DeviceConfig& cfg = {}) {
+  if (g_devices <= 0) {
+    // Two device streams execute flushes.
+    opt.devices.push_back({"dev0", cfg, runtime::Runtime::kDefaultStreams});
+    return;
+  }
   for (int d = 0; d < g_devices; ++d)
-    opt.devices.push_back(fleet::DeviceSpec{
-        "dev" + std::to_string(d), opt.device, 1});
+    opt.devices.push_back({"dev" + std::to_string(d), cfg, 1});
 }
 
 }  // namespace
@@ -168,7 +173,6 @@ int main(int argc, char** argv) {
   std::printf("=== act 1: healthy device ===\n");
   {
     runtime::RuntimeOptions opt;
-    opt.workers = 2;                 // two device streams execute flushes
     opt.max_batch_delay = 500us;     // stragglers wait at most this long
     apply_devices(opt);
     runtime::Runtime rt(opt);
@@ -183,14 +187,14 @@ int main(int argc, char** argv) {
   std::printf("\n=== act 2: 10%% launch failures, resilience on ===\n");
   {
     runtime::RuntimeOptions opt;
-    opt.workers = 2;
     opt.max_batch_delay = 500us;
-    opt.device.faults.launch_failure_rate = 0.10;  // seeded, deterministic
     opt.max_retries = 3;             // bounded retry with exponential backoff
     opt.retry_backoff = 100us;
     opt.cpu_fallback = true;         // circuit-broken stream degrades to cpu::
     opt.shed_on_saturation = true;   // full queue sheds (QueueSaturated)
-    apply_devices(opt);
+    simt::DeviceConfig flaky;
+    flaky.faults.launch_failure_rate = 0.10;  // seeded, deterministic
+    apply_devices(opt, flaky);
     runtime::Runtime rt(opt);
     // --kill-device: hard-kill mid-traffic; the stack above must absorb it.
     std::thread killer;

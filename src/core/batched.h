@@ -16,11 +16,8 @@
 // planning entirely. choose_approach below remains as the model-free static
 // rule (and the planner's reference in tests/benches).
 //
-// The historical core::batched_* free functions are gone (they spent a
-// deprecation cycle as forwarders): use ops::batched_* (ops/batched_compat.h,
-// same contracts, one shared plan cache) or the regla::Solver facade
-// (planner/solver.h), which owns its planner + cache and returns the richer
-// unified SolveReport. See the README migration table.
+// Batched solves go through the regla::Solver facade (planner/solver.h),
+// which owns its planner + cache and returns the unified SolveReport.
 #pragma once
 
 #include "core/per_block.h"
@@ -68,13 +65,6 @@ struct SolveOptions {
 
   /// The per-block kernel knobs this folds in.
   BlockOptions block() const { return BlockOptions{threads, layout}; }
-};
-
-struct BatchedOutcome {
-  Approach approach = Approach::per_thread;
-  double seconds = 0;
-  double nominal_flops = 0;
-  double gflops() const { return seconds > 0 ? nominal_flops / seconds / 1e9 : 0; }
 };
 
 }  // namespace regla::core

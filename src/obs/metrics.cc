@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "common/error.h"
 
@@ -143,21 +144,23 @@ double gauge_value(std::string_view name, std::string_view labels) {
 
 std::uint64_t counter_value(std::string_view name, std::string_view labels) {
   Registry& r = registry();
-  const std::string key = make_key(name, labels);
   std::lock_guard<std::mutex> lock(r.mu);
-  const auto it = r.by_key.find(key);
-  if (it == r.by_key.end() || it->second->kind != Kind::counter) return 0;
-  return it->second->counter.value();
-}
-
-std::map<std::string, double> gauges_snapshot() {
-  Registry& r = registry();
-  std::map<std::string, double> out;
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const auto& [key, instr] : r.by_key)
-    if (instr->kind == Kind::gauge && instr->gauge.is_set())
-      out[key] = instr->gauge.value();
-  return out;
+  if (!labels.empty()) {
+    const auto it = r.by_key.find(make_key(name, labels));
+    if (it == r.by_key.end() || it->second->kind != Kind::counter) return 0;
+    return it->second->counter.value();
+  }
+  // Keys are sorted, so `name` and every `name{...}` sit in one run of keys
+  // sharing the prefix (interleaved with longer names like `name_x`).
+  std::uint64_t total = 0;
+  for (auto it = r.by_key.lower_bound(std::string(name));
+       it != r.by_key.end() && it->first.starts_with(name); ++it) {
+    const bool same_name =
+        it->first.size() == name.size() || it->first[name.size()] == '{';
+    if (same_name && it->second->kind == Kind::counter)
+      total += it->second->counter.value();
+  }
+  return total;
 }
 
 void reset_all() {

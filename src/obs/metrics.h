@@ -1,28 +1,23 @@
-// Typed, labeled, process-wide metric instruments.
+// Typed, labeled, process-wide metric instruments — the library's telemetry
+// store. Each usage pattern has its own instrument type:
 //
-// The untyped simt::stat_* gauge map grew three distinct usage patterns —
-// monotonic event counts, last-value gauges, and distribution summaries
-// (p50/p99 exported as separate gauges) — with nothing in the registry
-// saying which was which. This header gives each pattern its own instrument:
-//
-//   obs::counter("engine.addr_truncations").add();
-//   obs::gauge("planner.model_error_mean").set(e);
-//   obs::histogram("runtime.latency_us").record(us);
+//   obs::counter("engine.addr_truncations").add();       // event counts
+//   obs::gauge("fleet.inflight", "device=dev0").set(n);  // last values
+//   obs::histogram("runtime.latency_us", "rt=0").record(us);  // distributions
 //
 // Instruments are created on first lookup and live for the process lifetime
 // (references returned by counter()/gauge()/histogram() never dangle —
 // reset_all() zeroes values but never removes instruments). Lookup takes a
 // registry mutex; updates on an obtained reference are lock-free atomics, so
 // hot paths should cache the reference. An optional label string
-// ("op=qr,n=32") distinguishes instruments sharing a name.
-//
-// The legacy simt::stat_set/stat_add/stat_get API remains as a shim over the
-// gauges here (see simt/stats.h).
+// ("op=qr,n=32") distinguishes instruments sharing a name. Per-instance
+// owners label their instruments with their identity (each Runtime registers
+// its set under "rt=<n>"); counter_value(name) without labels then reads the
+// process total across every instance.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -42,33 +37,22 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-value instrument (plan-cache hit rate, model error, quantiles).
+/// Last-value instrument (queue depth, device state), or a non-integer
+/// accumulator via add() (simulated device seconds).
 class Gauge {
  public:
-  void set(double v) {
-    v_.store(v, std::memory_order_relaxed);
-    set_.store(true, std::memory_order_relaxed);
-  }
+  void set(double v) { v_.store(v, std::memory_order_relaxed); }
   void add(double delta) {
     double cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, cur + delta,
                                      std::memory_order_relaxed)) {
     }
-    set_.store(true, std::memory_order_relaxed);
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
-  /// Whether the gauge has been written since creation / reset_all(). The
-  /// stat_* shim's snapshot lists only written gauges, matching the old
-  /// map-of-written-names behavior.
-  bool is_set() const { return set_.load(std::memory_order_relaxed); }
-  void reset() {
-    v_.store(0, std::memory_order_relaxed);
-    set_.store(false, std::memory_order_relaxed);
-  }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0};
-  std::atomic<bool> set_{false};
 };
 
 /// Fixed-bucket log-spaced distribution: bucket i covers values up to
@@ -103,21 +87,21 @@ Counter& counter(std::string_view name, std::string_view labels = {});
 Gauge& gauge(std::string_view name, std::string_view labels = {});
 Histogram& histogram(std::string_view name, std::string_view labels = {});
 
-/// Lookup without creating: the gauge's value, or 0 if absent/unwritten
-/// (the stat_get shim semantics).
+/// Lookup without creating: the gauge's value, or 0 if absent.
 double gauge_value(std::string_view name, std::string_view labels = {});
 
 /// Lookup without creating: the counter's value, or 0 if absent. Lets tests
 /// and benches reconcile event counts without registering instruments the
-/// code under test never touched.
+/// code under test never touched. Empty `labels` sums every counter named
+/// `name`, whatever its labels: `x` + `x{a=1}` + `x{a=2}` — the process
+/// total over per-instance counters.
 std::uint64_t counter_value(std::string_view name,
                             std::string_view labels = {});
 
-/// Every written gauge as (key, value) — the stat_* shim's snapshot.
-std::map<std::string, double> gauges_snapshot();
-
 /// Zero every instrument's value (instruments themselves stay registered, so
-/// cached references remain valid). Tests and the stats_clear shim.
+/// cached references remain valid). For tests only: it also zeroes the
+/// instruments live objects read back, so a running Runtime's stats() restart
+/// from zero too.
 void reset_all();
 
 /// Human-readable exposition: one line per instrument, histograms with

@@ -11,7 +11,6 @@
 #include "planner/op_traits.h"
 #include "simt/occupancy.h"
 #include "simt/reg_tile.h"
-#include "simt/stats.h"
 
 namespace regla::planner {
 
@@ -358,7 +357,6 @@ Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
     if (best.autotuned) {
       stats_.model_error_sum += best.model_rel_error;
       ++stats_.model_error_count;
-      regla::simt::stat_set("planner.model_error_last", best.model_rel_error);
     }
   }
   return best;
@@ -367,10 +365,7 @@ Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
 Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                    const ProblemDesc& desc) {
   const PlanCache::Key key{desc, config_fingerprint(cfg)};
-  if (std::optional<Plan> hit = cache_.find(key)) {
-    export_stats();
-    return *hit;
-  }
+  if (std::optional<Plan> hit = cache_.find(key)) return *hit;
   // Build outside any lock: autotune runs real (simulated) launches. Two
   // threads racing on the same fresh signature both build; plans are
   // deterministic functions of (cfg, desc), so whichever insert lands last
@@ -382,7 +377,6 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
     ++stats_.plans_built;
   }
   cache_.insert(key, built);
-  export_stats();
   return built;
 }
 
@@ -406,24 +400,8 @@ PlannerStats Planner::stats() const {
 
 void Planner::clear() {
   cache_.clear();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = PlannerStats{};
-  }
-  export_stats();
-}
-
-void Planner::export_stats() const {
-  const PlannerStats s = stats();
-  regla::simt::stat_set("planner.cache_hits",
-                        static_cast<double>(s.cache_hits));
-  regla::simt::stat_set("planner.cache_misses",
-                        static_cast<double>(s.cache_misses));
-  regla::simt::stat_set("planner.plans_built",
-                        static_cast<double>(s.plans_built));
-  regla::simt::stat_set("planner.autotune_runs",
-                        static_cast<double>(s.autotune_runs));
-  regla::simt::stat_set("planner.model_error_mean", s.mean_model_error());
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = PlannerStats{};
 }
 
 }  // namespace regla::planner

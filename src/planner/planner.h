@@ -19,9 +19,10 @@
 // 64 -> 256 thread switch at n = 80 (Fig. 9), tiled beyond one block.
 //
 // Optional autotune mode runs the top-k model candidates on the simulated
-// device once per signature, keeps the measured winner, and exports the
-// model-vs-measured cycle error through simt::stats — the paper's
-// predicted-vs-measured validation (Tables IV/V), live in production.
+// device once per signature, keeps the measured winner, and records the
+// model-vs-measured cycle error on the plan (Plan::model_rel_error) and in
+// PlannerStats — the paper's predicted-vs-measured validation (Tables IV/V),
+// live in production.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@
 
 namespace regla::planner {
 
-/// Cumulative planner health counters (also mirrored into simt::stats under
-/// "planner.*").
+/// Cumulative planner health counters. Planner::stats() is their one source
+/// (the cache counters come from the PlanCache).
 struct PlannerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -110,7 +111,6 @@ class Planner {
  private:
   Plan build_plan(const regla::simt::DeviceConfig& cfg,
                   const ProblemDesc& desc);
-  void export_stats() const;  // takes its own snapshots; call without mutex_
 
   Options opt_;
   MeasureFn measure_;

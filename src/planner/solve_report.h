@@ -14,8 +14,8 @@ namespace regla {
 
 /// Everything a batched solve reports: what ran (the plan and the model's
 /// reasoning behind it), how long it took, what the instrumentation counted,
-/// and which problems failed. Replaces LaunchResult + GpuBatchResult +
-/// BatchedOutcome for callers of the Solver API.
+/// and which problems failed. Replaces LaunchResult + GpuBatchResult for
+/// callers of the Solver API.
 struct SolveReport {
   planner::Plan plan;          ///< approach, threads, layout, model verdict
   double seconds = 0;          ///< simulated wall time on the device

@@ -22,8 +22,8 @@
 //     knobs (solve method, per-block thread override, register layout),
 //     carried to the kernels inside ops::Call.
 //
-// The free-function API lives in ops/batched_compat.h (ops::batched_*, one
-// shared plan cache); this facade is the supported API for everything else.
+// Benches, the STAP pipeline and the serving runtime's worker streams all
+// solve through this facade.
 #pragma once
 
 #include <memory>
@@ -47,9 +47,6 @@ struct SolverConfig {
   /// differs from the config when planner.explore_fast_math is on).
   bool apply_plan_fast_math = true;
 };
-
-/// Historical name for SolverConfig, kept for existing callers.
-using SolverOptions = SolverConfig;
 
 /// The planner-backed facade over the op registry. Holds a reference to the
 /// Device; one Solver per Device (or several — plans are keyed by device

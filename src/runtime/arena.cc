@@ -85,13 +85,9 @@ Arena::Lease Arena::lease(std::size_t bytes) {
     ++st.stats.leases;
     st.stats.bytes_leased += sz;
   }
-  if (fresh_slab) {
-    obs::counter("runtime.payload_allocs").add();
-    obs::gauge("runtime.payload_bytes_reserved")
-        .set(static_cast<double>(stats().bytes_reserved));
-  } else {
-    obs::counter("runtime.payload_reuses").add();
-  }
+  obs::counter(fresh_slab ? "runtime.payload_allocs"
+                          : "runtime.payload_reuses")
+      .add();
 
   Lease l;
   l.size_ = sz;

@@ -1,50 +1,53 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <cstring>
 #include <utility>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ops/registry.h"
 #include "planner/op_traits.h"
-#include "simt/stats.h"
 
 namespace regla::runtime {
 
 namespace {
 
-int latency_bucket(double microseconds) {
-  if (microseconds <= 1.0) return 0;
-  const int i = static_cast<int>(std::lround(2.0 * std::log2(microseconds)));
-  return std::clamp(i, 0, RuntimeStats::kLatencyBuckets - 1);
-}
-
-double latency_bucket_upper_ms(int i) {
-  return std::pow(2.0, i / 2.0) / 1000.0;  // bucket bound in us -> ms
-}
-
-int batch_bucket(int problems) {
-  int i = 0;
-  while ((1 << (i + 1)) <= problems && i < RuntimeStats::kBatchBuckets - 1) ++i;
-  return i;
+/// "rt=<n>" for the n-th Runtime constructed in this process.
+std::string next_runtime_labels() {
+  static std::atomic<int> seq{0};
+  return "rt=" + std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace
 
-double RuntimeStats::latency_quantile_ms(double q) const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : latency_hist) total += c;
-  if (total == 0) return 0;
-  const double rank = q * static_cast<double>(total - 1);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += latency_hist[i];
-    if (static_cast<double>(seen) > rank) return latency_bucket_upper_ms(i);
-  }
-  return latency_bucket_upper_ms(kLatencyBuckets - 1);
+Runtime::Metrics::Metrics(const std::string& labels)
+    : requests(obs::counter("runtime.requests", labels)),
+      problems(obs::counter("runtime.problems", labels)),
+      rejected(obs::counter("runtime.rejected", labels)),
+      isolation_retries(obs::counter("runtime.isolation_retries", labels)),
+      failed_requests(obs::counter("runtime.failed_requests", labels)),
+      fulfilled(obs::counter("runtime.fulfilled", labels)),
+      retries(obs::counter("runtime.retries", labels)),
+      shed(obs::counter("runtime.shed", labels)),
+      deadline_exceeded(obs::counter("runtime.deadline_exceeded", labels)),
+      fallback_cpu(obs::counter("runtime.fallback_cpu", labels)),
+      circuit_opens(obs::counter("runtime.circuit_opens", labels)),
+      reroutes(obs::counter("runtime.reroutes", labels)),
+      no_device(obs::counter("runtime.no_device", labels)),
+      payload_bytes_copied(
+          obs::counter("runtime.payload_bytes_copied", labels)),
+      view_batches(obs::counter("runtime.view_batches", labels)),
+      staged_batches(obs::counter("runtime.staged_batches", labels)),
+      ragged_batches(obs::counter("runtime.ragged_batches", labels)),
+      batch_problems(obs::histogram("runtime.batch_problems", labels)),
+      latency_us(obs::histogram("runtime.latency_us", labels)),
+      device_seconds(obs::gauge("runtime.device_seconds", labels)) {
+  for (int r = 0; r < kNumFlushReasons; ++r)
+    flushes[r] = &obs::counter(
+        "runtime.flushes",
+        labels + ",reason=" + to_string(static_cast<FlushReason>(r)));
 }
 
 std::size_t SignatureHash::operator()(const Signature& s) const {
@@ -64,6 +67,8 @@ std::size_t SignatureHash::operator()(const Signature& s) const {
 
 Runtime::Runtime(Options opt)
     : opt_(std::move(opt)),
+      labels_(next_runtime_labels()),
+      m_(labels_),
       wheel_(Clock::now(), opt_.timer_granularity <= decltype(opt_.timer_granularity){0}
                                ? std::chrono::microseconds{100}
                                : opt_.timer_granularity,
@@ -72,21 +77,14 @@ Runtime::Runtime(Options opt)
                   "runtime streams share one planner; autotune measurement "
                   "would race across their devices — plan without it");
   REGLA_CHECK(opt_.max_flush_problems > 0 && opt_.max_queue_problems > 0);
-  opt_.workers = std::max(1, opt_.workers);
   opt_.target_waves = std::max(1, opt_.target_waves);
   planner_ = std::make_shared<planner::Planner>(opt_.planner);
   arena_ = std::make_unique<Arena>();
 
   fleet::Fleet::Options fopt;
   fopt.devices = opt_.devices;
-  if (fopt.devices.empty()) {
-    // Legacy single-device shape: one member carrying all worker streams.
-    fleet::DeviceSpec spec;
-    spec.name = "dev0";
-    spec.config = opt_.device;
-    spec.streams = opt_.workers;
-    fopt.devices.push_back(std::move(spec));
-  }
+  if (fopt.devices.empty())
+    fopt.devices.push_back({"dev0", simt::DeviceConfig{}, kDefaultStreams});
   fopt.host_threads_per_stream = opt_.host_threads_per_stream;
   fopt.router = opt_.router;
   fopt.circuit_break_after = opt_.circuit_break_after;
@@ -280,17 +278,12 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
            static_cast<int>(opt_.max_queue_problems)) {
       if (!blocking) {
         *rejected = true;
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.rejected;
+        m_.rejected.add();
         return {};
       }
       if (opt_.shed_on_saturation) {
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.shed;
-          ++stats_.failed_requests;
-        }
-        obs::counter("runtime.shed").add();
+        m_.shed.add();
+        m_.failed_requests.add();
         return failed_future(QueueSaturated(
             "queue saturated: " + std::to_string(q.pending_problems) +
             " problems pending (bound " +
@@ -310,12 +303,8 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
       if (!spaced) {
         // Deadline passed while blocked on backpressure: the request was
         // never admitted, and it must not resolve late and silently.
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.deadline_exceeded;
-          ++stats_.failed_requests;
-        }
-        obs::counter("runtime.deadline_exceeded").add();
+        m_.deadline_exceeded.add();
+        m_.failed_requests.add();
         return failed_future(DeadlineExceeded(
             "deadline expired while blocked on a saturated queue"));
       }
@@ -331,11 +320,8 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     q.pending.push_back(std::move(pending));
     q.pending_problems += k;
     if (abs_deadline < q.min_deadline) q.min_deadline = abs_deadline;
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.requests;
-      stats_.problems += static_cast<std::uint64_t>(k);
-    }
+    m_.requests.add();
+    m_.problems.add(static_cast<std::uint64_t>(k));
 
     if (opt_.max_batch_delay.count() == 0) {
       // Zero delay = no coalescing: the deadline expires on arrival.
@@ -479,22 +465,24 @@ SolveReport Runtime::solve_one(fleet::Stream& s, const Signature& sig,
   return s.solver().run(sig.op, call);
 }
 
-void Runtime::fail_deadline(Pending& req) {
-  bool delivered = true;
+bool Runtime::fail(Pending& req, std::exception_ptr error) {
   try {
-    req.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "deadline exceeded before the result could be delivered")));
+    req.promise.set_exception(std::move(error));
   } catch (const std::future_error&) {
-    delivered = false;  // already satisfied on another path
+    // Already satisfied on another path (e.g. the coalesced pass fulfilled
+    // it before a later fulfill() threw): the requester has its result, and
+    // it was already counted.
+    return false;
   }
-  if (!delivered) return;
   record_latency(req.enqueued);
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.deadline_exceeded;
-    ++stats_.failed_requests;
-  }
-  obs::counter("runtime.deadline_exceeded").add();
+  m_.failed_requests.add();
+  return true;
+}
+
+void Runtime::fail_deadline(Pending& req) {
+  if (fail(req, std::make_exception_ptr(DeadlineExceeded(
+                    "deadline exceeded before the result could be delivered"))))
+    m_.deadline_exceeded.add();
 }
 
 SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
@@ -503,11 +491,7 @@ SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
   // as the device path. Shows on the trace as its own span so a degraded
   // period is visible at a glance.
   obs::Span span("runtime.fallback-cpu", "runtime");
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.fallback_cpu;
-  }
-  obs::counter("runtime.fallback_cpu").add();
+  m_.fallback_cpu.add();
   ops::Call call;
   if (p.is_complex) {
     call.ca = &p.ca;
@@ -610,11 +594,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       if (restore) restore();
       if (attempt < opt_.max_retries) {
         outcome.retries = ++attempt;
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.retries;
-        }
-        obs::counter("runtime.retries").add();
+        m_.retries.add();
         auto backoff = opt_.retry_backoff * (1ll << std::min(attempt - 1, 20));
         if (backoff > opt_.retry_backoff_cap) backoff = opt_.retry_backoff_cap;
         if (backoff.count() > 0) {
@@ -625,13 +605,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       }
       // Retries exhausted here: advance this device's breaker, then try to
       // re-route the batch to a different fleet member before degrading.
-      if (fleet_->record_exhausted(lease)) {
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.circuit_opens;
-        }
-        obs::counter("runtime.circuit_opens").add();
-      }
+      if (fleet_->record_exhausted(lease)) m_.circuit_opens.add();
       const int failed_id = lease.device_id();
       if (failed_id >= 0 && failed_id < 64) exclude |= 1ull << failed_id;
       // Release the dead device's stream BEFORE re-acquiring: acquire blocks
@@ -646,11 +620,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
         lease = std::move(*next);
         outcome.device_id = lease.device_id();
         outcome.device = lease.device_name();
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.reroutes;
-        }
-        obs::counter("runtime.reroutes").add();
+        m_.reroutes.add();
         attempt = 0;  // a fresh device gets the full retry budget
         continue;
       }
@@ -841,9 +811,7 @@ void Runtime::gather(const Batch& batch, Assembled& as) {
       off += ra.count();
     }
   }
-  obs::counter("runtime.payload_bytes_copied").add(copied);
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  stats_.payload_bytes_copied += copied;
+  m_.payload_bytes_copied.add(copied);
 }
 
 void Runtime::scatter(const Assembled& as, Batch& batch) {
@@ -892,9 +860,7 @@ void Runtime::scatter(const Assembled& as, Batch& batch) {
       off += ra.count();
     }
   }
-  obs::counter("runtime.payload_bytes_copied").add(copied);
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  stats_.payload_bytes_copied += copied;
+  m_.payload_bytes_copied.add(copied);
 }
 
 void Runtime::fulfill(Pending& req, const SolveReport& batch_report,
@@ -939,8 +905,7 @@ void Runtime::fulfill(Pending& req, const SolveReport& batch_report,
   r.ca = std::move(req.payload.ca);
   record_latency(req.enqueued);
   req.promise.set_value(std::move(r));
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  ++stats_.fulfilled;
+  m_.fulfilled.add();
 }
 
 void Runtime::execute(Batch& batch) {
@@ -1038,19 +1003,7 @@ void Runtime::execute(Batch& batch) {
     // only happens when it is off). Re-solving here would silently deliver
     // results computed from corrupted input, so fail every rider with the
     // batch's error instead: correctness over isolation.
-    for (Pending& req : batch.requests) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(batch_error);
-      } catch (const std::future_error&) {
-        delivered = false;  // fulfilled before a later fulfill() threw
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
-    }
+    for (Pending& req : batch.requests) fail(req, batch_error);
     record_batch_stats(batch, device_seconds, &as);
     return;
   }
@@ -1070,11 +1023,7 @@ void Runtime::execute(Batch& batch) {
     // Exception isolation: one bad request must not poison its batchmates.
     // Re-run each request alone; only the ones that still throw get the
     // exception on their future.
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.isolation_retries +=
-          static_cast<std::uint64_t>(batch.requests.size());
-    }
+    m_.isolation_retries.add(batch.requests.size());
     for (Pending& req : batch.requests) {
       try {
         if (!lease) {
@@ -1099,20 +1048,7 @@ void Runtime::execute(Batch& batch) {
         solo.requests.resize(1);  // only for the counts in the Report
         fulfill(req, r, solo, 0, started, solo_outcome);
       } catch (...) {
-        bool delivered = true;
-        try {
-          req.promise.set_exception(std::current_exception());
-        } catch (const std::future_error&) {
-          // Already satisfied: the coalesced pass fulfilled this request
-          // before a later fulfill() threw mid-scatter. The requester has
-          // its result; nothing to deliver — and it was already counted.
-          delivered = false;
-        }
-        if (delivered) {
-          record_latency(req.enqueued);
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.failed_requests;
-        }
+        fail(req, std::current_exception());
       }
     }
   }
@@ -1121,26 +1057,11 @@ void Runtime::execute(Batch& batch) {
 }
 
 void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.no_device;
-  }
-  obs::counter("runtime.no_device").add();
+  m_.no_device.add();
   if (!opt_.cpu_fallback) {
-    for (Pending& req : batch.requests) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(std::make_exception_ptr(NoDeviceAvailable(
-            "no routable fleet device (all drained or removed)")));
-      } catch (const std::future_error&) {
-        delivered = false;  // already satisfied on another path
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
-    }
+    for (Pending& req : batch.requests)
+      fail(req, std::make_exception_ptr(NoDeviceAvailable(
+                    "no routable fleet device (all drained or removed)")));
     return;
   }
   // Graceful degradation with no device at all: solve per request on the
@@ -1157,17 +1078,7 @@ void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
       solo.requests.resize(1);  // only for the counts in the Report
       fulfill(req, r, solo, 0, started, outcome);
     } catch (...) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(std::current_exception());
-      } catch (const std::future_error&) {
-        delivered = false;
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
+      fail(req, std::current_exception());
     }
   }
   record_batch_stats(batch, 0);
@@ -1210,88 +1121,63 @@ void Runtime::shutdown() {
   cv_dispatch_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   pool_.reset();  // drains any queued jobs, then joins the workers
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  export_stats();
 }
 
 // --- Stats -----------------------------------------------------------------
 
 void Runtime::record_batch_stats(const Batch& batch, double device_seconds,
                                  const Assembled* as) {
-  obs::histogram("runtime.batch_problems").record(batch.problems);
-  if (batch.sig.ragged) obs::counter("runtime.ragged_batches").add();
-  if (as != nullptr) {
-    if (as->mode == AssemblyMode::view)
-      obs::counter("runtime.view_batches").add();
-    else
-      obs::counter("runtime.staged_batches").add();
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.batches;
-  stats_.coalesced_problems += static_cast<std::uint64_t>(batch.problems);
-  ++stats_.flushes[static_cast<int>(batch.reason)];
-  ++stats_.batch_hist[batch_bucket(batch.problems)];
-  stats_.device_seconds += device_seconds;
-  if (batch.sig.ragged) ++stats_.ragged_batches;
-  if (as != nullptr) {
-    if (as->mode == AssemblyMode::view)
-      ++stats_.view_batches;
-    else
-      ++stats_.staged_batches;
-  }
-  export_stats();
+  m_.batch_problems.record(batch.problems);
+  m_.flushes[static_cast<int>(batch.reason)]->add();
+  m_.device_seconds.add(device_seconds);
+  if (batch.sig.ragged) m_.ragged_batches.add();
+  if (as != nullptr)
+    (as->mode == AssemblyMode::view ? m_.view_batches : m_.staged_batches)
+        .add();
 }
 
 void Runtime::record_latency(Clock::time_point enqueued) {
-  const double us =
+  m_.latency_us.record(
       std::chrono::duration<double, std::micro>(Clock::now() - enqueued)
-          .count();
-  obs::histogram("runtime.latency_us").record(us);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.latency_hist[latency_bucket(us)];
+          .count());
 }
 
 RuntimeStats Runtime::stats() const {
   RuntimeStats s;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    s = stats_;
-  }
-  // The arena keeps its own (lock-free to read) accounting; fold it into
-  // the snapshot so callers see one coherent payload story.
+  // Completion counters first: a request is admitted (requests) before it
+  // can resolve, so reading them ahead of `requests` keeps a snapshot taken
+  // under traffic from showing more resolved than admitted.
+  s.fulfilled = m_.fulfilled.value();
+  s.failed_requests = m_.failed_requests.value();
+  s.shed = m_.shed.value();
+  s.deadline_exceeded = m_.deadline_exceeded.value();
+  s.requests = m_.requests.value();
+  s.problems = m_.problems.value();
+  s.rejected = m_.rejected.value();
+  s.batches = m_.batch_problems.count();
+  s.coalesced_problems =
+      static_cast<std::uint64_t>(m_.batch_problems.sum());
+  for (int r = 0; r < kNumFlushReasons; ++r)
+    s.flushes[r] = m_.flushes[r]->value();
+  s.isolation_retries = m_.isolation_retries.value();
+  s.retries = m_.retries.value();
+  s.fallback_cpu = m_.fallback_cpu.value();
+  s.circuit_opens = m_.circuit_opens.value();
+  s.reroutes = m_.reroutes.value();
+  s.no_device = m_.no_device.value();
+  s.device_seconds = m_.device_seconds.value();
+  s.payload_bytes_copied = m_.payload_bytes_copied.value();
+  s.view_batches = m_.view_batches.value();
+  s.staged_batches = m_.staged_batches.value();
+  s.ragged_batches = m_.ragged_batches.value();
+  s.p50_ms_ = m_.latency_us.percentile(0.50) / 1000.0;
+  s.p99_ms_ = m_.latency_us.percentile(0.99) / 1000.0;
+  // The arena keeps its own accounting; fold it into the snapshot so
+  // callers see one coherent payload story.
   const Arena::Stats a = arena_->stats();
   s.payload_allocs = a.slab_allocs;
   s.payload_reuses = a.reuses;
   return s;
-}
-
-void Runtime::export_stats() const {
-  namespace ss = regla::simt;
-  ss::stat_set("runtime.requests", static_cast<double>(stats_.requests));
-  ss::stat_set("runtime.problems", static_cast<double>(stats_.problems));
-  ss::stat_set("runtime.rejected", static_cast<double>(stats_.rejected));
-  ss::stat_set("runtime.batches", static_cast<double>(stats_.batches));
-  ss::stat_set("runtime.mean_batch", stats_.mean_batch());
-  ss::stat_set("runtime.flush_size",
-               static_cast<double>(stats_.flushed(FlushReason::size)));
-  ss::stat_set("runtime.flush_deadline",
-               static_cast<double>(stats_.flushed(FlushReason::deadline)));
-  ss::stat_set("runtime.flush_manual",
-               static_cast<double>(stats_.flushed(FlushReason::manual)));
-  ss::stat_set("runtime.flush_shutdown",
-               static_cast<double>(stats_.flushed(FlushReason::shutdown)));
-  ss::stat_set("runtime.isolation_retries",
-               static_cast<double>(stats_.isolation_retries));
-  ss::stat_set("runtime.failed_requests",
-               static_cast<double>(stats_.failed_requests));
-  ss::stat_set("runtime.fulfilled", static_cast<double>(stats_.fulfilled));
-  // The resilience event counts (runtime.retries, runtime.shed,
-  // runtime.deadline_exceeded, runtime.fallback_cpu, runtime.circuit_opens)
-  // are obs Counters, incremented where the events happen; registering a
-  // gauge under the same name would be a type collision in the obs registry.
-  ss::stat_set("runtime.device_seconds", stats_.device_seconds);
-  ss::stat_set("runtime.p50_ms", stats_.p50_ms());
-  ss::stat_set("runtime.p99_ms", stats_.p99_ms());
 }
 
 }  // namespace regla::runtime

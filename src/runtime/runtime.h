@@ -30,11 +30,14 @@
 // is re-run one request at a time and only the offending request's future
 // carries the exception.
 //
-// Health: Runtime::stats() snapshots throughput counters, a coalesced
-// batch-size histogram, flush-reason counts, queue-full rejections and
-// latency quantiles; the same numbers are exported through the named-stats
-// registry (simt::stats, now a shim over obs gauges) under "runtime.*", plus
-// obs histograms "runtime.latency_us" / "runtime.batch_problems". With
+// Health: each Runtime registers its obs instruments (obs/metrics.h) once,
+// at construction, under its own label "rt=<n>" (metric_labels(); n counts
+// Runtime constructions in the process), and counts every event in exactly
+// one of them: "runtime.requests{rt=n}", "runtime.flushes{rt=n,reason=...}",
+// the "runtime.batch_problems{rt=n}" and "runtime.latency_us{rt=n}"
+// histograms, and so on. Runtime::stats() is a view computed from those
+// instruments (plus the arena's own accounting), so a stats() snapshot and
+// an obs dump never disagree, and two Runtimes never mix their numbers. With
 // obs::trace_start() active, every submission and flush also lands on the
 // process trace timeline (runtime.submit / runtime.queue-wait /
 // runtime.flush / runtime.execute spans — see DESIGN.md §9).
@@ -53,6 +56,7 @@
 
 #include "cpu/thread_pool.h"
 #include "fleet/fleet.h"
+#include "obs/metrics.h"
 #include "planner/op_traits.h"
 #include "planner/solver.h"
 #include "runtime/arena.h"
@@ -139,16 +143,14 @@ struct RuntimeOptions {
   /// The fleet: every entry is a device (heterogeneous configs allowed) with
   /// its own worker streams; coalesced batches are routed across them by
   /// queue depth, plan-cache affinity, and circuit state (fleet/router.h).
-  /// Empty = the single-device legacy shape: one member named "dev0" built
-  /// from `device` below with `workers` streams.
+  /// Each entry is used as given. Empty = one quadro6000 member named "dev0"
+  /// with Runtime::kDefaultStreams streams.
   std::vector<fleet::DeviceSpec> devices;
   /// Placement policy knobs for the fleet router.
   fleet::RouterOptions router;
-  /// Worker streams for the legacy single-device shape (ignored when
-  /// `devices` is set; stream counts then come from each DeviceSpec).
-  int workers = 2;
   /// Host threads each stream's Device uses to run independent blocks
-  /// (0 = hardware_concurrency / workers, so streams do not oversubscribe).
+  /// (0 = hardware_concurrency / initial streams, so streams do not
+  /// oversubscribe).
   int host_threads_per_stream = 0;
   /// How long the oldest request in a queue may wait before the queue is
   /// flushed below the model-preferred size. Zero disables coalescing:
@@ -172,9 +174,6 @@ struct RuntimeOptions {
   /// data-independent ops the runtime serves (REGLA_REPLAY_VERIFY=1
   /// re-simulates and asserts it); false = full simulation per block.
   bool replay = true;
-  /// Device configuration for the legacy single-device shape (and the
-  /// default config for `devices` entries that do not set one).
-  simt::DeviceConfig device = simt::DeviceConfig::quadro6000();
   /// Options for the shared planner. Autotune must stay off (measuring
   /// through a shared planner would race across worker devices).
   planner::PlannerOptions planner;
@@ -220,7 +219,8 @@ struct RuntimeOptions {
   bool ragged = false;
 };
 
-/// Cumulative counters, also exported to simt::stats as "runtime.*".
+/// Cumulative counters of one Runtime: a snapshot computed by
+/// Runtime::stats() from that Runtime's "runtime.*{rt=<n>}" obs instruments.
 struct RuntimeStats {
   std::uint64_t requests = 0;           ///< accepted submissions
   std::uint64_t problems = 0;           ///< accepted problems
@@ -267,16 +267,6 @@ struct RuntimeStats {
   std::uint64_t staged_batches = 0;       ///< arena-staged gather/scatter
   std::uint64_t ragged_batches = 0;       ///< batches from ragged buckets
 
-  /// Coalesced batch-size histogram: bucket i counts batches of
-  /// [2^i, 2^(i+1)) problems.
-  static constexpr int kBatchBuckets = 16;
-  std::uint64_t batch_hist[kBatchBuckets] = {};
-
-  /// Submit->complete latency histogram, sqrt(2)-spaced buckets starting at
-  /// 1 us (bucket upper bound = 2^(i/2) us).
-  static constexpr int kLatencyBuckets = 56;
-  std::uint64_t latency_hist[kLatencyBuckets] = {};
-
   double mean_batch() const {
     return batches > 0
                ? static_cast<double>(coalesced_problems) / static_cast<double>(batches)
@@ -285,15 +275,24 @@ struct RuntimeStats {
   std::uint64_t flushed(FlushReason r) const {
     return flushes[static_cast<int>(r)];
   }
-  /// q in [0, 1]; resolution is one histogram bucket (~±19%).
-  double latency_quantile_ms(double q) const;
-  double p50_ms() const { return latency_quantile_ms(0.50); }
-  double p99_ms() const { return latency_quantile_ms(0.99); }
+  /// Submit->complete latency quantiles of "runtime.latency_us{rt=<n>}" at
+  /// snapshot time; resolution is one sqrt(2) histogram bucket (~±19%).
+  double p50_ms() const { return p50_ms_; }
+  double p99_ms() const { return p99_ms_; }
+
+ private:
+  friend class Runtime;
+  double p50_ms_ = 0;
+  double p99_ms_ = 0;
 };
 
 class Runtime {
  public:
   using Options = RuntimeOptions;
+
+  /// Worker streams of the fleet's one member when RuntimeOptions::devices
+  /// is empty.
+  static constexpr int kDefaultStreams = 2;
 
   explicit Runtime(Options opt = {});
   ~Runtime();  ///< shutdown(): drains pending work, joins all threads
@@ -336,7 +335,11 @@ class Runtime {
   /// further submissions throw. Called by the destructor.
   void shutdown();
 
+  /// Computed from this Runtime's obs instruments (atomic reads) and the
+  /// arena's stats; safe to call concurrently with traffic.
   RuntimeStats stats() const;
+  /// The label every obs instrument of this Runtime carries: "rt=<n>".
+  const std::string& metric_labels() const { return labels_; }
   std::shared_ptr<planner::Planner> planner() const { return planner_; }
   const Options& options() const { return opt_; }
 
@@ -486,7 +489,11 @@ class Runtime {
   /// solve_cpu on the runtime-level pool, serialized on no_device_mu_ — for
   /// solves that hold no stream lease at all.
   SolveReport solve_cpu_unleased(const Signature& sig, Payload& p);
-  /// Resolve a request's future with DeadlineExceeded (counts + latency).
+  /// Resolve a request's future with `error` unless another path already
+  /// resolved it; a delivered failure records its latency and counts in
+  /// failed_requests. Returns whether it was delivered.
+  bool fail(Pending& req, std::exception_ptr error);
+  /// fail() with DeadlineExceeded, counted in deadline_exceeded too.
   void fail_deadline(Pending& req);
   void fulfill(Pending& req, const SolveReport& batch_report,
                const Batch& batch, int offset, Clock::time_point started,
@@ -497,13 +504,30 @@ class Runtime {
   void record_batch_stats(const Batch& batch, double device_seconds,
                           const Assembled* as = nullptr);
   void record_latency(Clock::time_point enqueued);
-  void export_stats() const;  // requires stats_mu_ held
 
   /// Spare pool threads beyond the initial stream count, so devices added
   /// under load (up to this many extra streams) gain real concurrency.
   static constexpr int kSpareStreamWorkers = 4;
 
+  /// This Runtime's telemetry: obs instruments looked up once, under
+  /// labels_, and updated lock-free. Each RuntimeStats quantity lives in
+  /// exactly one of them (batches and coalesced_problems are the count and
+  /// the sum of batch_problems).
+  struct Metrics {
+    explicit Metrics(const std::string& labels);
+    obs::Counter &requests, &problems, &rejected, &isolation_retries,
+        &failed_requests, &fulfilled, &retries, &shed, &deadline_exceeded,
+        &fallback_cpu, &circuit_opens, &reroutes, &no_device,
+        &payload_bytes_copied, &view_batches, &staged_batches,
+        &ragged_batches;
+    obs::Counter* flushes[kNumFlushReasons];  ///< reason=<to_string(r)>
+    obs::Histogram &batch_problems, &latency_us;
+    obs::Gauge& device_seconds;  ///< accumulated with add()
+  };
+
   Options opt_;
+  std::string labels_;  ///< "rt=<n>"
+  Metrics m_;
   std::shared_ptr<planner::Planner> planner_;
   /// Payload slabs (staging + client leases). Declared before the fleet and
   /// pool so any straggler lease embedded in an undelivered Report still
@@ -530,9 +554,6 @@ class Runtime {
   std::condition_variable cv_space_;     ///< backpressure waiters
   std::condition_variable cv_idle_;      ///< wait_idle / shutdown drain
   std::condition_variable cv_dispatch_;  ///< dispatcher timer wakeups
-
-  mutable std::mutex stats_mu_;
-  RuntimeStats stats_;
 
   std::thread dispatcher_;
 };

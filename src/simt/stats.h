@@ -7,36 +7,11 @@
 // executor folds all threads' counters into a PhaseRecord and resets them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace regla::simt {
-
-// --- Named stat registry (compatibility shim) ------------------------------
-//
-// A process-wide map of named numeric gauges. Subsystems that sit above the
-// engine (the launch planner, benches) export health numbers here —
-// plan-cache hit rates, model-vs-measured cycle error — so they can be read
-// uniformly next to the per-launch counters below. Thread-safe.
-//
-// Since the obs subsystem landed this is a shim over obs::Gauge instruments
-// in the shared obs registry (obs/metrics.h): stat_set(name, v) and
-// obs::gauge(name).set(v) write the same cell. New code should use the typed
-// obs instruments directly (Counter for event counts, Histogram for
-// distributions); this API stays for existing exporters and tests.
-
-/// Overwrite `name` with `value` (creating it if absent).
-void stat_set(const std::string& name, double value);
-/// Add `delta` to `name` (creating it as `delta` if absent).
-void stat_add(const std::string& name, double delta);
-/// Current value, or 0 if the stat has never been written.
-double stat_get(const std::string& name);
-/// Copy of the whole registry (for reports / debugging).
-std::map<std::string, double> stats_snapshot();
-/// Drop every named stat (tests).
-void stats_clear();
 
 /// Tags attributing phases to logical operations, for the Table V / Fig. 8
 /// breakdowns. `other` is the default.

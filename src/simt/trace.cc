@@ -1,12 +1,6 @@
 #include "simt/trace.h"
 
-#include <algorithm>
-#include <fstream>
-#include <ostream>
 #include <tuple>
-
-#include "common/error.h"
-#include "obs/json.h"
 
 namespace regla::simt {
 
@@ -23,39 +17,6 @@ bool slice_before(const TaggedCycles& a, const TaggedCycles& b) {
     return std::make_tuple(rank, s.panel, static_cast<int>(s.tag));
   };
   return key(a) < key(b);
-}
-
-void write_chrome_trace(const LaunchResult& result, std::ostream& os,
-                        const std::string& kernel_name) {
-  // Order slices by (panel, tag) — the natural execution order of the
-  // factorization kernels (load first: panel -1 load, then panels, store).
-  std::vector<TaggedCycles> slices = result.breakdown;
-  std::stable_sort(slices.begin(), slices.end(), slice_before);
-
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  double cursor = 0;
-  bool first = true;
-  for (const auto& s : slices) {
-    if (s.cycles <= 0) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << to_string(s.tag);
-    if (s.panel >= 0) os << " p" << s.panel;
-    os << "\",\"cat\":\"";
-    obs::json_escape_to(os, kernel_name);
-    os << "\",\"ph\":\"X\",\"ts\":" << cursor
-       << ",\"dur\":" << s.cycles << ",\"pid\":1,\"tid\":"
-       << static_cast<int>(s.tag) + 1 << "}";
-    cursor += s.cycles;
-  }
-  os << "]}";
-}
-
-void write_chrome_trace(const LaunchResult& result, const std::string& path,
-                        const std::string& kernel_name) {
-  std::ofstream f(path);
-  REGLA_CHECK_MSG(f.good(), "cannot open trace file " << path);
-  write_chrome_trace(result, f, kernel_name);
 }
 
 }  // namespace regla::simt

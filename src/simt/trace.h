@@ -1,13 +1,7 @@
-// Chrome-trace export of a launch's per-phase timeline: load the JSON into
-// chrome://tracing or Perfetto to see where a kernel's simulated cycles go
-// (one track per operation tag, one slice per phase group).
-//
-// For the cross-layer timeline (runtime queues, planner, worker execute
-// spans with these slices nested inside) see obs/trace.h; this writer keeps
-// the original single-launch view.
+// Execution order of a launch's per-phase breakdown. Device::launch exports
+// the breakdown as phase slices nested under its engine.launch span on the
+// obs trace timeline (obs/trace.h), laid out in this order.
 #pragma once
-
-#include <string>
 
 #include "simt/engine.h"
 
@@ -16,17 +10,7 @@ namespace regla::simt {
 /// Strict weak ordering over breakdown slices in natural execution order:
 /// the panel -1 load slice first, panel slices ascending (ties by tag), the
 /// panel -1 store slice last, any other panel -1 slice with the loads.
-/// Exposed for the writers and for the regression tests.
+/// Exposed for the regression tests.
 bool slice_before(const TaggedCycles& a, const TaggedCycles& b);
-
-/// Write the launch's tag/panel breakdown as a Chrome trace-event JSON file.
-/// Slices are laid out sequentially in per-block average cycle time (the
-/// simulator's block timeline), one trace thread per OpTag.
-void write_chrome_trace(const LaunchResult& result, const std::string& path,
-                        const std::string& kernel_name = "kernel");
-
-/// Same, to any stream (for tests).
-void write_chrome_trace(const LaunchResult& result, std::ostream& os,
-                        const std::string& kernel_name = "kernel");
 
 }  // namespace regla::simt

@@ -4,8 +4,8 @@
 
 #include "common/error.h"
 #include "core/per_block_ext.h"
-#include "ops/batched_compat.h"
 #include "model/flops.h"
+#include "planner/solver.h"
 
 namespace regla::stap {
 
@@ -78,10 +78,10 @@ StapReport run_stap(regla::simt::Device& dev, const Datacube& cube,
   rep.matrices = sc.num_matrices;
 
   auto batch = assemble_training(cube, sc);
-  const auto outcome = regla::ops::batched_qr(dev, batch);
-  rep.gpu_seconds = outcome.seconds;
-  rep.gpu_gflops = outcome.gflops();
-  rep.approach = regla::core::to_string(outcome.approach);
+  const SolveReport qr = Solver(dev).qr(batch);
+  rep.gpu_seconds = qr.seconds;
+  rep.gpu_gflops = qr.gflops();
+  rep.approach = regla::core::to_string(qr.plan.approach);
 
   const auto v = steering(sc, steer_spatial, steer_doppler);
 

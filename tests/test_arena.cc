@@ -188,7 +188,6 @@ struct ProbeSolver {
 
   RuntimeOptions options() {
     RuntimeOptions opt;
-    opt.workers = 2;
     opt.host_threads_per_stream = 1;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
@@ -412,7 +411,6 @@ TEST(RuntimeRagged, MixedShapesShareOneBatch) {
 // the submitted shapes.
 TEST(RuntimeRagged, PaddedSolveMatchesCpuOraclePerSubProblem) {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 10s;
   opt.ragged = true;
@@ -453,7 +451,6 @@ TEST(RuntimeRagged, PaddedSolveMatchesCpuOraclePerSubProblem) {
 // mixed m x n match the cpu oracle's solutions.
 TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 10s;
   opt.ragged = true;
@@ -498,7 +495,7 @@ TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {
 TEST(RuntimeRagged, ReplayKeysOnTheEmbedding) {
   const auto seconds_per_batch = [](bool replay) {
     RuntimeOptions opt;
-    opt.workers = 1;
+    opt.devices = {{"dev0", {}, 1}};
     opt.host_threads_per_stream = 1;
     opt.max_batch_delay = 10s;
     opt.ragged = true;

@@ -1,14 +1,18 @@
-// Tests for apply-Q^H and the chrome-trace export.
+// Tests for apply-Q^H and a launch's phase slices on the obs trace.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/generators.h"
 #include "common/norms.h"
 #include "core/per_block.h"
 #include "core/per_block_ext.h"
 #include "cpu/qr.h"
-#include "simt/trace.h"
+#include "json_check.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace regla::core {
@@ -94,28 +98,82 @@ TEST(ApplyQt, ComplexMatchesCpuApply) {
     EXPECT_LT(std::abs(b.at(1, i, 0) - rhs(i, 0)), 3e-3f) << "row " << i;
 }
 
+/// One complete ("X") event of an obs trace export.
+struct Slice {
+  std::string name;
+  double ts = 0, dur = 0;
+  long tid = 0;
+};
+
+/// The complete events of a write_trace_json export, in file order. Assumes
+/// names without escaped quotes (the kernels' phase and span names).
+std::vector<Slice> complete_events(const std::string& json) {
+  std::vector<Slice> out;
+  const std::string key = "{\"name\":\"";
+  for (std::size_t p = json.find(key); p != std::string::npos;
+       p = json.find(key, p + 1)) {
+    const std::string ev = json.substr(p, json.find('}', p) - p);
+    if (ev.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const auto field = [&ev](const char* f) {
+      return std::stod(ev.substr(ev.find(f) + std::strlen(f)));
+    };
+    Slice s;
+    s.name = ev.substr(key.size(), ev.find('"', key.size()) - key.size());
+    s.ts = field("\"ts\":");
+    s.dur = field("\"dur\":");
+    s.tid = static_cast<long>(field("\"tid\":"));
+    out.push_back(s);
+  }
+  return out;
+}
+
+// The launch's tag/panel breakdown on the process timeline: the export is
+// valid JSON, the phase slices run in execution order (load, panel 0's
+// rank-1 update, store), and every slice nests inside the engine.launch
+// span on the same track.
 TEST(Trace, ChromeJsonWellFormedAndComplete) {
   simt::Device dev;
   BatchF batch(2, 24, 24);
   fill_uniform(batch, 3);
-  const auto r = qr_per_block(dev, batch);
+  obs::trace_start({1 << 12});
+  qr_per_block(dev, batch);
+  obs::trace_stop();
   std::ostringstream os;
-  simt::write_chrome_trace(r.launch, os, "qr24");
+  obs::write_trace_json(os);
   const std::string json = os.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("load"), std::string::npos);
-  EXPECT_NE(json.find("rank1 p0"), std::string::npos);
-  EXPECT_NE(json.find("store"), std::string::npos);
-  // Total duration equals the block-average cycles.
-  double total = 0;
-  std::size_t pos = 0;
-  while ((pos = json.find("\"dur\":", pos)) != std::string::npos) {
-    pos += 6;
-    total += std::stod(json.substr(pos));
+  std::string err;
+  ASSERT_TRUE(testing::json_parses(json, &err)) << err;
+
+  const std::vector<Slice> events = complete_events(json);
+  const Slice* launch = nullptr;
+  int load = -1, rank1 = -1, store = -1;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string& name = events[i].name;
+    if (name == "engine.launch") launch = &events[i];
+    if (name.starts_with("phase:load:")) load = static_cast<int>(i);
+    if (name.starts_with("phase:rank1 p0:")) rank1 = static_cast<int>(i);
+    if (name.starts_with("phase:store:")) store = static_cast<int>(i);
   }
-  EXPECT_NEAR(total, r.launch.block_cycles_avg, 0.01 * r.launch.block_cycles_avg);
+  ASSERT_NE(launch, nullptr);
+  ASSERT_GE(load, 0);
+  ASSERT_GE(rank1, 0);
+  ASSERT_GE(store, 0);
+  EXPECT_LT(load, rank1);
+  EXPECT_LT(rank1, store);
+  EXPECT_LT(events[load].ts, events[rank1].ts);
+  EXPECT_LT(events[rank1].ts, events[store].ts);
+
+  const double eps = 1e-3;  // us; timestamps export at 15 digits
+  double total = 0;
+  for (const Slice& s : events) {
+    if (!s.name.starts_with("phase:")) continue;
+    EXPECT_EQ(s.tid, launch->tid) << s.name;
+    EXPECT_GE(s.ts, launch->ts - eps) << s.name;
+    EXPECT_LE(s.ts + s.dur, launch->ts + launch->dur + eps) << s.name;
+    total += s.dur;
+  }
+  EXPECT_GT(total, 0);
+  EXPECT_LE(total, launch->dur + eps);
 }
 
 }  // namespace

@@ -161,7 +161,6 @@ struct FlakySolver {
 
   RuntimeOptions options() {
     RuntimeOptions opt;
-    opt.workers = 2;
     opt.host_threads_per_stream = 1;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
@@ -354,8 +353,8 @@ TEST(RuntimeFaultSolve, CpuFallbackAgreesWithDevice) {
   fill_diag_dominant(a0, 0x5eed);
   fill_uniform(b0, 0x50b5);
 
-  const auto run = [&](RuntimeOptions opt) {
-    opt.workers = 1;
+  const auto run = [&](RuntimeOptions opt, const simt::DeviceConfig& cfg) {
+    opt.devices = {{"dev0", cfg, 1}};
     opt.host_threads_per_stream = 1;
     opt.max_batch_delay = 0us;
     Runtime rt(opt);
@@ -365,13 +364,14 @@ TEST(RuntimeFaultSolve, CpuFallbackAgreesWithDevice) {
     return r;
   };
 
-  const Report healthy = run(RuntimeOptions{});
+  const Report healthy = run(RuntimeOptions{}, simt::DeviceConfig{});
+  simt::DeviceConfig broken;
+  broken.faults.launch_failure_rate = 1.0;
   RuntimeOptions hostile;
-  hostile.device.faults.launch_failure_rate = 1.0;
   hostile.max_retries = 1;
   hostile.retry_backoff = 100us;
   hostile.cpu_fallback = true;
-  const Report degraded = run(hostile);
+  const Report degraded = run(hostile, broken);
 
   EXPECT_FALSE(healthy.solved_on_cpu);
   EXPECT_TRUE(degraded.solved_on_cpu);
@@ -388,11 +388,13 @@ TEST(RuntimeFaultSolve, CpuFallbackAgreesWithDevice) {
 // episodes the stream stops attempting device launches and degrades
 // straight to the CPU until the cooldown passes.
 TEST(RuntimeFaultSolve, CircuitBreakerSkipsBrokenDevice) {
+  simt::DeviceConfig broken;
+  broken.faults.launch_failure_rate = 1.0;
   RuntimeOptions opt;
-  opt.workers = 1;  // one stream, so both requests hit the same breaker
+  // One stream, so both requests hit the same breaker.
+  opt.devices = {{"dev0", broken, 1}};
   opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 0us;
-  opt.device.faults.launch_failure_rate = 1.0;
   opt.max_retries = 0;
   opt.circuit_break_after = 1;
   opt.circuit_cooldown = 10s;  // stays open for the whole test
@@ -420,11 +422,12 @@ TEST(RuntimeFaultSolve, CircuitBreakerSkipsBrokenDevice) {
 // policy stack on, a burst of traffic completes with every future resolved:
 // solved, or typed — zero hangs, zero silent drops.
 TEST(RuntimeFaultSolve, FlakyDeviceBurstFullyAccounted) {
+  simt::DeviceConfig flaky;
+  flaky.faults.launch_failure_rate = 0.10;
   RuntimeOptions opt;
-  opt.workers = 2;
+  opt.devices = {{"dev0", flaky, 2}};
   opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 200us;
-  opt.device.faults.launch_failure_rate = 0.10;
   opt.max_retries = 3;
   opt.retry_backoff = 100us;
   opt.cpu_fallback = true;

@@ -1,5 +1,5 @@
-// Tests for the obs subsystem: typed metric instruments, the stat_* shim,
-// the trace ring (overflow accounting, concurrent emission), JSON escaping,
+// Tests for the obs subsystem: typed metric instruments, the registry's
+// label handling, the trace ring (overflow accounting, concurrent emission), JSON escaping,
 // and the end-to-end runtime timeline. Suites are named Obs* so the tier-2
 // race gates (scripts/tier2_tsan.sh / tier2_asan.sh) can select them.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "json_check.h"
 #include "obs/obs.h"
 #include "runtime/runtime.h"
-#include "simt/stats.h"
 
 namespace regla {
 namespace {
@@ -33,17 +32,14 @@ TEST(ObsMetrics, CounterAddsAndResets) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ObsMetrics, GaugeTracksLastValueAndWrittenState) {
+TEST(ObsMetrics, GaugeTracksLastValue) {
   obs::Gauge g;
-  EXPECT_FALSE(g.is_set());
   EXPECT_EQ(g.value(), 0.0);
   g.set(2.5);
-  EXPECT_TRUE(g.is_set());
   EXPECT_EQ(g.value(), 2.5);
   g.add(-1.0);
   EXPECT_EQ(g.value(), 1.5);
   g.reset();
-  EXPECT_FALSE(g.is_set());
   EXPECT_EQ(g.value(), 0.0);
 }
 
@@ -107,6 +103,21 @@ TEST(ObsMetrics, RegistryLabelsDistinguishInstruments) {
   EXPECT_EQ(&obs::counter("obstest.ops", "op=qr"), &qr);
 }
 
+// Unlabeled reads are process totals: counter_value(name) sums the bare
+// counter and every labeled one of the same name, and nothing else.
+TEST(ObsMetrics, CounterValueSumsEveryLabelSet) {
+  obs::reset_all();
+  obs::counter("obstest.sum").add(1);
+  obs::counter("obstest.sum", "a=1").add(10);
+  obs::counter("obstest.sum", "a=2").add(100);
+  obs::counter("obstest.sum_other").add(1000);  // shares the prefix only
+  obs::counter("obstest.sumx", "a=1").add(1000);
+  EXPECT_EQ(obs::counter_value("obstest.sum"), 111u);
+  EXPECT_EQ(obs::counter_value("obstest.sum", "a=2"), 100u);
+  EXPECT_EQ(obs::counter_value("obstest.sum", "a=9"), 0u);
+  EXPECT_EQ(obs::counter_value("obstest.never_registered"), 0u);
+}
+
 TEST(ObsMetrics, RegistryRejectsKindMismatch) {
   obs::counter("obstest.kindmix");
   EXPECT_THROW(obs::gauge("obstest.kindmix"), Error);
@@ -140,29 +151,6 @@ TEST(ObsMetrics, ConcurrentCountersAndHistogramsAreExact) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kOpsEach);
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kOpsEach);
-}
-
-TEST(ObsMetrics, StatShimEquivalence) {
-  simt::stats_clear();
-  // Writes through either API land in the same cell.
-  simt::stat_set("shim.a", 2.0);
-  EXPECT_EQ(obs::gauge_value("shim.a"), 2.0);
-  obs::gauge("shim.b").set(5.0);
-  EXPECT_EQ(simt::stat_get("shim.b"), 5.0);
-  simt::stat_add("shim.a", 1.5);
-  EXPECT_EQ(simt::stat_get("shim.a"), 3.5);
-  simt::stat_add("shim.fresh", 4.0);  // creates as 4, the old map semantics
-  EXPECT_EQ(simt::stat_get("shim.fresh"), 4.0);
-  EXPECT_EQ(simt::stat_get("shim.never_written"), 0.0);
-
-  const auto snap = simt::stats_snapshot();
-  EXPECT_EQ(snap.at("shim.a"), 3.5);
-  EXPECT_EQ(snap.at("shim.b"), 5.0);
-  EXPECT_EQ(snap.count("shim.never_written"), 0u);
-
-  simt::stats_clear();
-  EXPECT_EQ(simt::stat_get("shim.a"), 0.0);
-  EXPECT_TRUE(simt::stats_snapshot().empty());
 }
 
 TEST(ObsMetrics, DumpAndCsvExposition) {
@@ -308,7 +296,6 @@ TEST(ObsRuntimeTrace, TimelineCoversEveryLayer) {
   obs::trace_start({1 << 14});
   {
     runtime::RuntimeOptions opt;
-    opt.workers = 2;
     opt.max_batch_delay = std::chrono::microseconds(200);
     runtime::Runtime rt(opt);
     std::vector<std::future<runtime::Report>> futs;

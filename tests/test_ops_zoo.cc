@@ -135,7 +135,7 @@ TEST(OpsZoo, TrsmFlagsZeroDiagonalLikeCpu) {
 // submissions — coalesced, planned, dispatched — with oracle agreement.
 TEST(OpsZoo, RuntimeSubmitCholeskyAndTrsm) {
   runtime::RuntimeOptions opt;
-  opt.workers = 1;
+  opt.devices = {{"dev0", {}, 1}};
   opt.host_threads_per_stream = 1;
   runtime::Runtime rt(opt);
   const int n = 24;

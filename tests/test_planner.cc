@@ -3,6 +3,8 @@
 // the regla::Solver facade must produce correct numerics end to end.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/generators.h"
 #include "core/batched.h"
 #include "planner/planner.h"
@@ -219,7 +221,14 @@ TEST(Solver, AutotuneRecordsModelError) {
   const auto s = solver.planner().stats();
   EXPECT_GE(s.autotune_runs, 2u);
   EXPECT_EQ(s.model_error_count, 1u);
-  EXPECT_GT(simt::stat_get("planner.model_error_last"), -1);
+  // The error is the model's sample prediction against the measured winner,
+  // and it is the whole of the planner's error record.
+  EXPECT_GT(rep.plan.predicted_sample_cycles, 0);
+  EXPECT_DOUBLE_EQ(rep.plan.model_rel_error,
+                   std::abs(rep.plan.predicted_sample_cycles -
+                            rep.plan.measured_cycles) /
+                       rep.plan.measured_cycles);
+  EXPECT_DOUBLE_EQ(s.mean_model_error(), rep.plan.model_rel_error);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "common/error.h"
 #include "common/generators.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "runtime/timer_wheel.h"
 #include "test_util.h"
@@ -47,7 +48,6 @@ SolveReport doubling_override(const Signature&, BatchF& a, BatchF& b) {
 
 RuntimeOptions queue_options() {
   RuntimeOptions opt;
-  opt.workers = 2;
   opt.host_threads_per_stream = 1;
   opt.solve_override = doubling_override;
   return opt;
@@ -263,8 +263,8 @@ TEST(RuntimeQueue, RejectsAutotune) {
   EXPECT_THROW(Runtime rt(opt), regla::Error);
 }
 
-// Stats plumbing: latency histogram covers every accepted request and the
-// quantiles are ordered.
+// Stats plumbing: the runtime's latency histogram covers every accepted
+// request and the quantiles are ordered.
 TEST(RuntimeQueue, LatencyHistogramCoversRequests) {
   auto opt = queue_options();
   opt.max_batch_delay = 0us;
@@ -275,11 +275,103 @@ TEST(RuntimeQueue, LatencyHistogramCoversRequests) {
   for (auto& f : futs) f.get();
   rt.shutdown();
   const auto st = rt.stats();
-  std::uint64_t total = 0;
-  for (std::uint64_t c : st.latency_hist) total += c;
-  EXPECT_EQ(total, 20u);
+  EXPECT_EQ(obs::histogram("runtime.latency_us", rt.metric_labels()).count(),
+            20u);
   EXPECT_LE(st.p50_ms(), st.p99_ms());
   EXPECT_GT(st.p99_ms(), 0.0);
+}
+
+// Two Runtimes alive at once count into their own instruments: each
+// stats() sees only its own traffic, the unlabeled process totals add both
+// up, and the runtimes' batch counts agree with the fleets'.
+TEST(RuntimeQueue, ConcurrentRuntimesKeepSeparateStats) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 0us;  // one batch per submission
+  const std::uint64_t fleet_batches0 = obs::counter_value("fleet.batches");
+  const std::uint64_t requests0 = obs::counter_value("runtime.requests");
+  Runtime a(opt), b(opt);
+  EXPECT_NE(a.metric_labels(), b.metric_labels());
+  std::vector<std::future<Report>> futs;
+  for (int i = 0; i < 3; ++i)
+    futs.push_back(a.submit(Op::qr, marked_batch(1, 8, 1.0f)));
+  for (int i = 0; i < 5; ++i)
+    futs.push_back(b.submit(Op::qr, marked_batch(2, 8, 1.0f)));
+  for (auto& f : futs) f.get();
+  a.wait_idle();
+  b.wait_idle();
+
+  const auto sa = a.stats(), sb = b.stats();
+  EXPECT_EQ(sa.requests, 3u);
+  EXPECT_EQ(sb.requests, 5u);
+  EXPECT_EQ(sa.coalesced_problems, 3u);
+  EXPECT_EQ(sb.coalesced_problems, 10u);
+  EXPECT_EQ(sa.batches, 3u);
+  EXPECT_EQ(sb.batches, 5u);
+  EXPECT_EQ(obs::counter_value("runtime.requests") - requests0, 8u);
+  EXPECT_EQ(sa.batches + sb.batches,
+            obs::counter_value("fleet.batches") - fleet_batches0);
+  for (const Runtime* rt : {&a, &b})
+    EXPECT_DOUBLE_EQ(
+        rt->stats().p50_ms() * 1000,
+        obs::histogram("runtime.latency_us", rt->metric_labels())
+            .percentile(0.50));
+}
+
+// stats() reads the instruments while workers update them: a reader thread
+// snapshots in a loop under traffic (the race gate runs this under TSan),
+// every counter it sees only grows, and after shutdown the accounting
+// reconciles with what the callers observed.
+TEST(RuntimeQueue, StatsReadConcurrentlyWithTraffic) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 200us;
+  Runtime rt(opt);
+  std::atomic<bool> done{false};
+  int snapshots = 0, regressions = 0;
+  std::thread reader([&] {
+    runtime::RuntimeStats prev;
+    while (!done.load()) {
+      const auto st = rt.stats();
+      if (st.fulfilled < prev.fulfilled ||
+          st.failed_requests < prev.failed_requests ||
+          st.requests < prev.requests || st.batches < prev.batches ||
+          st.coalesced_problems < prev.coalesced_problems)
+        ++regressions;
+      prev = st;
+      ++snapshots;
+    }
+  });
+
+  constexpr int kSubmitters = 2, kEach = 60;
+  std::atomic<int> ok{0}, failed{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<Report>> futs;
+      for (int i = 0; i < kEach; ++i)
+        futs.push_back(rt.submit(
+            Op::qr, marked_batch(2, 8, i % 7 == 3 ? kPoison : float(t + 1))));
+      for (auto& f : futs) {
+        try {
+          f.get();
+          ok.fetch_add(1);
+        } catch (const std::runtime_error&) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  for (auto& t : submitters) t.join();
+  rt.shutdown();
+  done = true;
+  reader.join();
+
+  const auto st = rt.stats();
+  EXPECT_GT(snapshots, 0);
+  EXPECT_EQ(regressions, 0);
+  EXPECT_EQ(st.fulfilled + st.failed_requests,
+            static_cast<std::uint64_t>(kSubmitters * kEach));
+  EXPECT_EQ(st.fulfilled, static_cast<std::uint64_t>(ok.load()));
+  EXPECT_EQ(st.failed_requests, static_cast<std::uint64_t>(failed.load()));
+  EXPECT_GT(st.failed_requests, 0u);
 }
 
 TEST(RuntimeQueue, PreferredBatchStaysWithinFlushCap) {
@@ -301,7 +393,7 @@ TEST(RuntimeQueue, PreferredBatchStaysWithinFlushCap) {
 // small, solutions scattered back to the right request.
 TEST(RuntimeSolve, GaussJordanResidualsSmall) {
   RuntimeOptions opt;
-  opt.workers = 1;
+  opt.devices = {{"dev0", {}, 1}};
   opt.host_threads_per_stream = 2;
   opt.max_batch_delay = 10s;
   Runtime rt(opt);
@@ -329,7 +421,7 @@ TEST(RuntimeSolve, GaussJordanResidualsSmall) {
 // path and come back factored.
 TEST(RuntimeSolve, ComplexQRCoalesces) {
   RuntimeOptions opt;
-  opt.workers = 1;
+  opt.devices = {{"dev0", {}, 1}};
   opt.host_threads_per_stream = 2;
   opt.max_batch_delay = 10s;
   Runtime rt(opt);

@@ -1,6 +1,5 @@
-// Tests for the tiled QR path, the batched dispatch API (via the supported
-// ops::batched_* entry points), and the per-block GEMM / per-thread
-// eigensolver extensions.
+// Tests for the tiled QR path, batched dispatch through regla::Solver, and
+// the per-block GEMM / per-thread eigensolver extensions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,7 @@
 #include "common/norms.h"
 #include "core/core.h"
 #include "cpu/cpu.h"
-#include "ops/batched_compat.h"
+#include "planner/solver.h"
 #include "test_util.h"
 
 namespace regla::core {
@@ -119,13 +118,14 @@ TEST(BatchedApi, DispatchRule) {
 
 TEST(BatchedApi, QrAllThreePaths) {
   simt::Device dev;
+  Solver solver(dev);
   // per-thread path
   {
     BatchF b(50, 8, 8), orig(50, 8, 8), taus;
     fill_uniform(b, 1);
     orig = b;
-    auto out = ops::batched_qr(dev, b, &taus);
-    EXPECT_EQ(out.approach, Approach::per_thread);
+    auto out = solver.qr(b, &taus);
+    EXPECT_EQ(out.plan.approach, Approach::per_thread);
     EXPECT_LT(testing::worst_packed_qr_error(b, orig, taus), 5e-5f);
   }
   // per-block path
@@ -133,8 +133,8 @@ TEST(BatchedApi, QrAllThreePaths) {
     BatchF b(4, 48, 48), orig(4, 48, 48), taus;
     fill_uniform(b, 2);
     orig = b;
-    auto out = ops::batched_qr(dev, b, &taus);
-    EXPECT_EQ(out.approach, Approach::per_block);
+    auto out = solver.qr(b, &taus);
+    EXPECT_EQ(out.plan.approach, Approach::per_block);
     EXPECT_LT(testing::worst_packed_qr_error(b, orig, taus), 2e-4f);
   }
   // tiled path (R only)
@@ -142,8 +142,8 @@ TEST(BatchedApi, QrAllThreePaths) {
     BatchF b(2, 300, 40), orig(2, 300, 40);
     fill_uniform(b, 3);
     orig = b;
-    auto out = ops::batched_qr(dev, b);
-    EXPECT_EQ(out.approach, Approach::tiled);
+    auto out = solver.qr(b);
+    EXPECT_EQ(out.plan.approach, Approach::tiled);
     Matrix<float> cpu_copy(300, 40);
     for (int j = 0; j < 40; ++j)
       for (int i = 0; i < 300; ++i) cpu_copy(i, j) = orig.at(0, i, j);
@@ -157,47 +157,49 @@ TEST(BatchedApi, TiledRefusesTauExport) {
   simt::Device dev;
   BatchF b(1, 300, 40), taus;
   fill_uniform(b, 3);
-  EXPECT_THROW(ops::batched_qr(dev, b, &taus), Error);
+  EXPECT_THROW(Solver(dev).qr(b, &taus), Error);
 }
 
 TEST(BatchedApi, SolvePaths) {
   simt::Device dev;
+  Solver solver(dev);
   BatchF a(6, 20, 20), b(6, 20, 1);
   fill_diag_dominant(a, 4);
   fill_uniform(b, 5);
   BatchF a0 = a, b0 = b;
-  auto out = ops::batched_solve(dev, a, b, SolveOptions{.method = SolveMethod::qr});
-  EXPECT_EQ(out.approach, Approach::per_block);
+  auto out = solver.solve(a, b, SolveOptions{.method = SolveMethod::qr});
+  EXPECT_EQ(out.plan.approach, Approach::per_block);
   EXPECT_LT(testing::worst_solve_residual(a0, b, b0), 2e-4f);
 
   BatchF a2 = a0, b2 = b0;
-  auto out2 = ops::batched_solve(
-      dev, a2, b2, SolveOptions{.method = SolveMethod::gauss_jordan});
+  auto out2 =
+      solver.solve(a2, b2, SolveOptions{.method = SolveMethod::gauss_jordan});
   EXPECT_LT(testing::worst_solve_residual(a0, b2, b0), 2e-4f);
-  EXPECT_EQ(out2.approach, Approach::per_block);
+  EXPECT_EQ(out2.plan.approach, Approach::per_block);
 
   BatchF a3(20, 6, 6), b3(20, 6, 1);
   fill_diag_dominant(a3, 7);
   fill_uniform(b3, 8);
   BatchF a30 = a3, b30 = b3;
-  auto out3 = ops::batched_solve(
-      dev, a3, b3, SolveOptions{.method = SolveMethod::gauss_jordan});
-  EXPECT_EQ(out3.approach, Approach::per_thread);
+  auto out3 =
+      solver.solve(a3, b3, SolveOptions{.method = SolveMethod::gauss_jordan});
+  EXPECT_EQ(out3.plan.approach, Approach::per_thread);
   EXPECT_LT(testing::worst_solve_residual(a30, b3, b30), 5e-5f);
 }
 
 TEST(BatchedApi, LuPaths) {
   simt::Device dev;
+  Solver solver(dev);
   BatchF small(30, 10, 10), small0(30, 10, 10);
   fill_diag_dominant(small, 9);
   small0 = small;
-  EXPECT_EQ(ops::batched_lu(dev, small).approach, Approach::per_thread);
+  EXPECT_EQ(solver.lu(small).plan.approach, Approach::per_thread);
   EXPECT_LT(testing::worst_lu_residual(small0, small), 5e-5f);
 
   BatchF big(3, 40, 40), big0(3, 40, 40);
   fill_diag_dominant(big, 10);
   big0 = big;
-  EXPECT_EQ(ops::batched_lu(dev, big).approach, Approach::per_block);
+  EXPECT_EQ(solver.lu(big).plan.approach, Approach::per_block);
   EXPECT_LT(testing::worst_lu_residual(big0, big), 2e-4f);
 }
 
