@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-2 memory/UB gate: the ASan+UBSan sibling of the race gate in
 # scripts/tier2_tsan.sh. Builds the full test suite with
-# -fsanitize=address,undefined and runs it end to end — this is the gate
-# that would have caught the old trace.cc comparator, whose
-# strict-weak-ordering violation was UB inside std::stable_sort.
+# -fsanitize=address,undefined and libstdc++'s precondition checks
+# (-D_GLIBCXX_ASSERTIONS: std::clamp bounds, out-of-range operator[], ...)
+# and runs it end to end — this is the gate that would have caught the old
+# trace.cc comparator, whose strict-weak-ordering violation was UB inside
+# std::stable_sort.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

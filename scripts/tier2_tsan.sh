@@ -17,8 +17,11 @@ cmake --build --preset tsan -j "$(nproc)" --target regla_tests
 # makes lock-order reports actionable.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
-# RuntimeQueue.* drive the runtime through the solve_override hook (pure
-# queueing, no kernels); RuntimeSolve.* add real kernel launches;
+# ThreadPool.* include concurrent parallel_for callers on one pool, and
+# FleetSharedPool.* two streams' launches interleaving on the shared host
+# pool every Device simulates on. RuntimeQueue.* drive the runtime through
+# the solve_override hook (pure queueing, no kernels); RuntimeSolve.* add
+# real kernel launches;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and

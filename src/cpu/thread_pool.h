@@ -28,26 +28,24 @@ class ThreadPool {
 
   int workers() const { return static_cast<int>(threads_.size()) + 1; }
 
-  /// Run fn(i) for i in [0, count), statically chunked across workers plus
-  /// the calling thread. Blocks until all iterations complete. Exceptions in
-  /// workers are rethrown on the caller (first one wins).
+  /// Run fn(i) for i in [0, count), split into at most workers() contiguous
+  /// chunks of equal size. Blocks until all iterations complete. Exceptions
+  /// are rethrown on the caller once every chunk has finished (first one
+  /// wins).
   ///
-  /// Must be externally serialized: the per-worker task slots
-  /// (tasks_/outstanding_/error_) are single-occupancy, so two threads
-  /// calling parallel_for on the same pool concurrently race. This is easy
-  /// to hit through global() — give each concurrent caller its own pool.
-  /// Workers also prefer submit() tasks over parallel_for chunks, so a
-  /// long-running submitted task (e.g. a runtime flush) delays chunks until
-  /// it finishes; keep latency-sensitive parallel_for work off pools that
-  /// take long submissions.
+  /// Safe to call from several threads at once. Each call is a job whose
+  /// chunks any idle helper may claim; the caller claims and runs the chunks
+  /// no helper has taken, then waits only for the ones already running
+  /// elsewhere. So a call never waits behind another call's work: with
+  /// every helper busy it simply runs all its chunks itself. Helpers take
+  /// waiting chunks before queued submit() tasks, since a caller is blocked
+  /// on the chunks.
   void parallel_for(int count, const std::function<void(int)>& fn);
 
   /// Enqueue a fire-and-forget task for any worker to run. Tasks must handle
   /// their own errors: an exception escaping a task is swallowed (counted in
   /// dropped_exceptions()). A single-threaded pool (workers() == 1) has no
-  /// helper to hand off to, so the task runs inline on the caller. Submitted
-  /// tasks share workers with — and take priority over — parallel_for (see
-  /// its note on starvation).
+  /// helper to hand off to, so the task runs inline on the caller.
   void submit(std::function<void()> task);
 
   /// Block until every task submitted so far has finished.
@@ -57,34 +55,32 @@ class ThreadPool {
   /// rethrown — there is no caller to rethrow on).
   std::uint64_t dropped_exceptions() const;
 
-  /// Process-wide pool. Lazily constructed and intentionally never
-  /// destroyed: a static-destruction-order teardown used to let
-  /// late-exiting code (other static destructors, atexit hooks) call into a
-  /// pool whose threads were already joined. Leaking the singleton keeps it
-  /// valid for the whole process lifetime; the OS reclaims the threads.
+  /// Process-wide pool, the one every simt::Device runs its blocks on.
+  /// Lazily constructed and intentionally never destroyed: a
+  /// static-destruction-order teardown used to let late-exiting code (other
+  /// static destructors, atexit hooks) call into a pool whose threads were
+  /// already joined. Leaking the singleton keeps it valid for the whole
+  /// process lifetime; the OS reclaims the threads.
   static ThreadPool& global();
 
  private:
-  struct Task {
-    const std::function<void(int)>* fn = nullptr;
-    int begin = 0;
-    int end = 0;
-  };
+  struct Job;
 
-  void worker_loop(int index);
+  void worker_loop();
   void run_one(std::function<void()>& task);
+  /// Next unclaimed chunk of `job`, or -1 when all are claimed; drops the
+  /// job from jobs_ with its last chunk. Requires mu_ held.
+  int claim(Job& job);
+  void run_chunk(Job& job, int part);
 
   std::vector<std::thread> threads_;
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::vector<Task> tasks_;       // one slot per worker (parallel_for)
-  std::vector<bool> has_work_;
+  std::vector<Job*> jobs_;  // calls with unclaimed chunks, oldest first
   std::deque<std::function<void()>> queue_;  // submit() tasks
   int queued_running_ = 0;        // submit() tasks currently executing
-  int outstanding_ = 0;
   bool stop_ = false;
-  std::exception_ptr error_;
   std::uint64_t dropped_exceptions_ = 0;
 };
 

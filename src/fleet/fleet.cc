@@ -1,7 +1,7 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -86,15 +86,6 @@ Fleet::Fleet(Options opt) : opt_(std::move(opt)) {
   REGLA_CHECK_MSG(!opt_.devices.empty(), "Fleet needs at least one device");
   planner_ = opt_.planner ? opt_.planner
                           : std::make_shared<planner::Planner>();
-  int initial_streams = 0;
-  for (const DeviceSpec& s : opt_.devices)
-    initial_streams += std::max(1, s.streams);
-  host_threads_per_stream_ = opt_.host_threads_per_stream;
-  if (host_threads_per_stream_ <= 0) {
-    const int hw =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    host_threads_per_stream_ = std::max(1, hw / initial_streams);
-  }
   for (DeviceSpec& s : opt_.devices) add_device(std::move(s));
   opt_.devices.clear();  // moved from; membership now lives in members_
 }
@@ -234,9 +225,8 @@ int Fleet::add_device(DeviceSpec spec) {
   std::vector<std::unique_ptr<Stream>> built;
   built.reserve(streams);
   for (int i = 0; i < streams; ++i)
-    built.push_back(std::make_unique<Stream>(spec.config, planner_,
-                                             host_threads_per_stream_,
-                                             opt_.replay));
+    built.push_back(
+        std::make_unique<Stream>(spec.config, planner_, opt_.replay));
   int id;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -33,7 +33,6 @@
 // fleet mutex (fleet -> cache, never the reverse).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -44,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/thread_pool.h"
 #include "fleet/router.h"
 #include "planner/solver.h"
 
@@ -55,13 +53,15 @@ using Clock = std::chrono::steady_clock;
 /// One worker stream: its own simulated Device + Solver over the fleet's
 /// shared planner (so a signature planned on any stream is a plan-cache hit
 /// on all of them). A stream is leased to exactly one executor at a time,
-/// so nothing here needs locking.
+/// so nothing here needs locking. Its Device simulates blocks on the
+/// process-wide host pool (cpu::ThreadPool::global()) that every stream
+/// shares, so a stream with a full launch wave uses the threads an idle
+/// sibling leaves free.
 class Stream {
  public:
   Stream(const simt::DeviceConfig& cfg, std::shared_ptr<planner::Planner> p,
-         int host_threads, bool replay = true)
-      : dev_(cfg), solver_(dev_, std::move(p)), host_threads_(host_threads) {
-    if (host_threads_ > 0) dev_.set_host_workers(host_threads_);
+         bool replay = true)
+      : dev_(cfg), solver_(dev_, std::move(p)) {
     // Serving streams run data-independent ops over coalesced batches — the
     // replay cache's home turf. Direct Device users (paper-figure benches)
     // stay on full simulation; REGLA_REPLAY=0 force-disables it here too.
@@ -71,21 +71,9 @@ class Stream {
   simt::Device& device() { return dev_; }
   Solver& solver() { return solver_; }
 
-  /// CPU-fallback workers, built on first use. Per stream because
-  /// ThreadPool::parallel_for must be externally serialized — a shared pool
-  /// would race across concurrently-degrading streams.
-  cpu::ThreadPool& fallback() {
-    if (!fallback_pool_)
-      fallback_pool_ =
-          std::make_unique<cpu::ThreadPool>(std::max(1, host_threads_));
-    return *fallback_pool_;
-  }
-
  private:
   simt::Device dev_;
   Solver solver_;
-  int host_threads_ = 0;
-  std::unique_ptr<cpu::ThreadPool> fallback_pool_;
 };
 
 /// How a device joins the fleet.
@@ -179,10 +167,9 @@ class Lease {
 };
 
 struct FleetOptions {
-  std::vector<DeviceSpec> devices;  ///< at least one
-  /// Host threads each stream's Device simulates blocks with; 0 splits
-  /// hardware_concurrency over the initial stream count.
-  int host_threads_per_stream = 0;
+  /// At least one. Every member's streams simulate on the one shared host
+  /// pool (see Stream), so the fleet has no host-thread knob.
+  std::vector<DeviceSpec> devices;
   /// Placement policy knobs (fleet/router.h).
   RouterOptions router;
   /// Exhausted-retry episodes that open a device's circuit breaker (0
@@ -287,7 +274,6 @@ class Fleet {
 
   Options opt_;
   std::shared_ptr<planner::Planner> planner_;
-  int host_threads_per_stream_ = 1;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;

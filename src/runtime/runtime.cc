@@ -85,7 +85,6 @@ Runtime::Runtime(Options opt)
   fopt.devices = opt_.devices;
   if (fopt.devices.empty())
     fopt.devices.push_back({"dev0", simt::DeviceConfig{}, kDefaultStreams});
-  fopt.host_threads_per_stream = opt_.host_threads_per_stream;
   fopt.router = opt_.router;
   fopt.circuit_break_after = opt_.circuit_break_after;
   fopt.circuit_cooldown = opt_.circuit_cooldown;
@@ -485,8 +484,7 @@ void Runtime::fail_deadline(Pending& req) {
     m_.deadline_exceeded.add();
 }
 
-SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
-                               Payload& p) {
+SolveReport Runtime::solve_cpu(const Signature& sig, Payload& p) {
   // Graceful degradation: the cpu:: batched drivers, same in-place contract
   // as the device path. Shows on the trace as its own span so a degraded
   // period is visible at a glance.
@@ -502,15 +500,7 @@ SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
   // The registered cpu entry mirrors the device op's in-place contract
   // (least-squares lands x in b, cholesky/trsm flag not_solved) and reports
   // host seconds: the degraded path's real cost.
-  return ops::run_cpu(sig.op, call, pool);
-}
-
-SolveReport Runtime::solve_cpu_unleased(const Signature& sig, Payload& p) {
-  // No stream lease, so no per-stream fallback pool to borrow; serialize on
-  // the runtime's own (parallel_for is not reentrant).
-  std::lock_guard<std::mutex> lock(no_device_mu_);
-  if (!no_device_pool_) no_device_pool_ = std::make_unique<cpu::ThreadPool>(1);
-  return solve_cpu(*no_device_pool_, sig, p);
+  return ops::run_cpu(sig.op, call, cpu::ThreadPool::global());
 }
 
 namespace {
@@ -570,7 +560,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
   // while it cools down.
   if (opt_.cpu_fallback && lease.circuit_open()) {
     outcome.on_cpu = true;
-    return solve_cpu(lease.stream().fallback(), sig, p);
+    return solve_cpu(sig, p);
   }
 
   // A transient failure can abort mid-chain (tiled solves launch several
@@ -624,20 +614,21 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
         attempt = 0;  // a fresh device gets the full retry budget
         continue;
       }
-      // No healthy sibling: only open-circuit devices remain (degrade on
-      // that lease's stream) or nothing is routable at all (degrade on the
-      // runtime's own pool).
+      // No healthy sibling: only open-circuit devices remain (degrade while
+      // holding that lease, so the Report names the device) or nothing is
+      // routable at all (degrade with no device). Either way the cpu solve
+      // runs on the process-wide host pool.
       if (opt_.cpu_fallback) {
         outcome.on_cpu = true;
         if (next) {
           lease = std::move(*next);
           outcome.device_id = lease.device_id();
           outcome.device = lease.device_name();
-          return solve_cpu(lease.stream().fallback(), sig, p);
+        } else {
+          outcome.device_id = -1;
+          outcome.device.clear();
         }
-        outcome.device_id = -1;
-        outcome.device.clear();
-        return solve_cpu_unleased(sig, p);
+        return solve_cpu(sig, p);
       }
       throw;
     }
@@ -1070,7 +1061,7 @@ void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
   outcome.on_cpu = true;
   for (Pending& req : batch.requests) {
     try {
-      const SolveReport r = solve_cpu_unleased(batch.sig, req.payload);
+      const SolveReport r = solve_cpu(batch.sig, req.payload);
       Batch solo;
       solo.sig = batch.sig;
       solo.reason = batch.reason;

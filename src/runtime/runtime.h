@@ -144,14 +144,13 @@ struct RuntimeOptions {
   /// its own worker streams; coalesced batches are routed across them by
   /// queue depth, plan-cache affinity, and circuit state (fleet/router.h).
   /// Each entry is used as given. Empty = one quadro6000 member named "dev0"
-  /// with Runtime::kDefaultStreams streams.
+  /// with Runtime::kDefaultStreams streams. Streams own no host threads:
+  /// every stream simulates its blocks on the one process-wide pool
+  /// (fleet::Stream), so a stream with a full launch wave uses whatever
+  /// cores its siblings leave idle.
   std::vector<fleet::DeviceSpec> devices;
   /// Placement policy knobs for the fleet router.
   fleet::RouterOptions router;
-  /// Host threads each stream's Device uses to run independent blocks
-  /// (0 = hardware_concurrency / initial streams, so streams do not
-  /// oversubscribe).
-  int host_threads_per_stream = 0;
   /// How long the oldest request in a queue may wait before the queue is
   /// flushed below the model-preferred size. Zero disables coalescing:
   /// every submission flushes immediately (the bench's baseline mode).
@@ -481,14 +480,9 @@ class Runtime {
   /// paths): takes a lazy pristine snapshot only when resilience is on.
   SolveReport solve_solo(fleet::Lease& lease, const Signature& sig,
                          Payload& p, SolveOutcome& outcome);
-  /// Graceful degradation: the same contract as solve_one, on cpu:: solvers
-  /// running over `pool` (a leased stream's fallback pool, or the runtime's
-  /// own no-device pool via solve_cpu_unleased).
-  SolveReport solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
-                        Payload& p);
-  /// solve_cpu on the runtime-level pool, serialized on no_device_mu_ — for
-  /// solves that hold no stream lease at all.
-  SolveReport solve_cpu_unleased(const Signature& sig, Payload& p);
+  /// Graceful degradation: the same contract as solve_one, on the cpu::
+  /// solvers over the process-wide host pool (with or without a lease).
+  SolveReport solve_cpu(const Signature& sig, Payload& p);
   /// Resolve a request's future with `error` unless another path already
   /// resolved it; a delivered failure records its latency and counts in
   /// failed_requests. Returns whether it was delivered.
@@ -537,11 +531,6 @@ class Runtime {
   /// drain and join first when the Runtime is destroyed.
   std::unique_ptr<fleet::Fleet> fleet_;
   std::unique_ptr<cpu::ThreadPool> pool_;
-  /// Lazy workers for the no-routable-device cpu path (no stream to borrow a
-  /// fallback pool from); solves there serialize on no_device_mu_ because
-  /// ThreadPool::parallel_for is not reentrant.
-  std::mutex no_device_mu_;
-  std::unique_ptr<cpu::ThreadPool> no_device_pool_;
 
   mutable std::mutex mu_;  ///< queues, wheel, inflight, closed
   std::unordered_map<Signature, Queue, SignatureHash> queues_;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
 #include "cpu/thread_pool.h"
@@ -29,17 +28,14 @@ bool env_enabled(const char* name) {
 }
 }  // namespace
 
-// Out of line: ThreadPool is only forward-declared in the header.
+// Out of line: ReplayCache is only forward-declared in the header.
 Device::Device(DeviceConfig cfg)
     : cfg_(cfg), replay_verify_(env_enabled("REGLA_REPLAY_VERIFY")) {}
 Device::~Device() = default;
 Device::Device(Device&&) noexcept = default;
 Device& Device::operator=(Device&&) noexcept = default;
 
-void Device::set_host_workers(int workers) {
-  if (workers != host_workers_) pool_.reset();
-  host_workers_ = workers;
-}
+void Device::set_host_workers(int workers) { host_workers_ = workers; }
 
 void Device::set_replay(bool on) {
   // REGLA_REPLAY=0 is the global kill switch: a run whose replayed numbers
@@ -255,14 +251,14 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     if (spec.blocks > 2) reps.push_back(spec.blocks - 1);
   }
 
-  const int configured = host_workers_ > 0
-                             ? host_workers_
-                             : static_cast<int>(std::thread::hardware_concurrency());
+  cpu::ThreadPool& pool = cpu::ThreadPool::global();
+  const int configured = host_workers_ > 0 ? host_workers_ : pool.workers();
 
   // Run `todo` (block ids), instrumented or fast, serially or on the pool.
   const auto execute = [&](const std::vector<int>& todo, bool instrumented) {
-    const int workers =
-        std::clamp(configured, 1, static_cast<int>(todo.size()));
+    // A miss of three blocks or fewer has no rest after its representatives.
+    if (todo.empty()) return;
+    const int workers = std::min(configured, static_cast<int>(todo.size()));
     const auto one = [&](int b) {
       if (b == poison_block) return;  // poisoned: silently skipped
       run_block(cfg_, spec, body, b, instrumented ? &runs[b] : nullptr);
@@ -271,15 +267,13 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     if (workers == 1) {
       for (int b : todo) one(b);
     } else {
-      // Persistent pool, sized to the configured (unclamped) width so
-      // launches of different block counts share one set of threads instead
-      // of respawning per launch. parallel_for over `workers` slots, each
-      // slot draining the shared counter, preserves dynamic scheduling
-      // (blocks have skewed runtimes).
-      if (!pool_)
-        pool_ = std::make_unique<cpu::ThreadPool>(std::max(1, configured));
+      // The process-wide pool, shared with every other Device: each slot
+      // drains the shared counter, so blocks (whose runtimes are skewed)
+      // are scheduled dynamically over however many threads are free — a
+      // busy sibling stream's launch leaves this one fewer helpers, an idle
+      // one more.
       std::atomic<std::size_t> next{0};
-      pool_->parallel_for(workers, [&](int) {
+      pool.parallel_for(workers, [&](int) {
         for (std::size_t i = next.fetch_add(1); i < todo.size();
              i = next.fetch_add(1))
           one(todo[i]);

@@ -15,10 +15,6 @@
 #include "simt/occupancy.h"
 #include "simt/stats.h"
 
-namespace regla::cpu {
-class ThreadPool;
-}
-
 namespace regla::simt {
 
 class ReplayCache;
@@ -76,7 +72,10 @@ struct LaunchResult {
 };
 
 /// A simulated GPU. Thread-compatible: one launch at a time per Device, but
-/// independent blocks within a launch may run on multiple host threads.
+/// independent blocks within a launch run on the process-wide host pool
+/// (cpu::ThreadPool::global()), which every Device shares: concurrent
+/// launches on different Devices split its threads between them as they
+/// free up.
 class Device {
  public:
   explicit Device(DeviceConfig cfg = DeviceConfig::quadro6000());
@@ -106,10 +105,12 @@ class Device {
   const FaultStats& fault_stats() const { return fault_stats_; }
   void reset_fault_stats() { fault_stats_ = {}; }
 
-  /// Number of host worker threads used to run independent blocks
-  /// (defaults to std::thread::hardware_concurrency()). Changing the count
-  /// retires the device's persistent worker pool; the next launch rebuilds
-  /// it at the new width.
+  /// Cap on the host threads (the caller plus shared-pool helpers) that run
+  /// one launch's blocks; 0, the default, allows the whole pool. A cap, not a
+  /// reservation: the threads come from the shared pool as they free up. It
+  /// stays for callers that need a fixed width — 1 keeps every block on the
+  /// calling thread, and a benchmark that times one layer in isolation pins
+  /// the width so its numbers do not depend on what else is running.
   void set_host_workers(int workers);
 
   /// Replay memoization (simt/replay.h, DESIGN.md §13). Off by default so
@@ -142,7 +143,7 @@ class Device {
 
  private:
   DeviceConfig cfg_;
-  int host_workers_ = 0;  // 0 = auto
+  int host_workers_ = 0;  // per-launch cap; 0 = the whole shared pool
   bool replay_on_ = false;
   bool replay_verify_ = false;          ///< REGLA_REPLAY_VERIFY at construction
   bool scope_data_independent_ = false; ///< set by ReplayScope
@@ -150,12 +151,6 @@ class Device {
   std::unique_ptr<ReplayCache> replay_cache_;
   std::uint64_t launch_ordinal_ = 0;  ///< fault-stream position (one launch at a time)
   FaultStats fault_stats_;
-  /// Persistent host workers for multi-block launches, built lazily on the
-  /// first launch that needs them and reused across launches — spawning
-  /// fresh std::threads per launch sat directly on the serving hot path.
-  /// Safe to reuse under the pool's parallel_for serialization constraint
-  /// because a Device runs one launch at a time (class contract above).
-  std::unique_ptr<cpu::ThreadPool> pool_;
 };
 
 }  // namespace regla::simt

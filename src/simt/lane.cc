@@ -1,17 +1,21 @@
 #include "simt/lane.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace regla::simt {
 
 namespace {
 
-/// Bump allocator behind one host thread's lane frames. Allocation walks a
-/// cursor through a list of chunks; freeing only counts live frames, and
+std::atomic<std::size_t> g_arena_bytes{0};
+
+/// Bump allocator behind one running block's lane frames. Allocation walks
+/// a cursor through a list of chunks; freeing only counts live frames, and
 /// the cursor rewinds to the first chunk when the count reaches zero. The
-/// instrumented and replayed block paths share it, so the thread holds one
+/// instrumented and replayed block paths share it, so an arena holds one
 /// block's worth of frames, not one per path.
 class LaneArena {
  public:
@@ -21,25 +25,26 @@ class LaneArena {
       ++chunk_;
       used_ = 0;
     }
-    if (chunk_ == chunks_.size())
-      chunks_.push_back(Chunk{std::make_unique_for_overwrite<std::byte[]>(
-                                  std::max(bytes, kChunkBytes)),
-                              std::max(bytes, kChunkBytes)});
+    if (chunk_ == chunks_.size()) {
+      const std::size_t size = std::max(bytes, kChunkBytes);
+      chunks_.push_back(
+          Chunk{std::make_unique_for_overwrite<std::byte[]>(size), size});
+      g_arena_bytes.fetch_add(size, std::memory_order_relaxed);
+    }
     void* p = chunks_[chunk_].mem.get() + used_;
     used_ += bytes;
     ++live_;
     return p;
   }
 
-  void release() noexcept {
-    if (--live_ == 0) chunk_ = used_ = 0;
+  /// Returns true when the last live frame is gone (the arena rewound).
+  bool release() noexcept {
+    if (--live_ != 0) return false;
+    chunk_ = used_ = 0;
+    return true;
   }
 
-  std::size_t bytes() const {
-    std::size_t total = 0;
-    for (const Chunk& c : chunks_) total += c.size;
-    return total;
-  }
+  LaneArena* next_idle = nullptr;  ///< ArenaPool's free list link
 
  private:
   static constexpr std::size_t kAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
@@ -58,15 +63,60 @@ class LaneArena {
   std::size_t live_ = 0;
 };
 
-thread_local LaneArena t_arena;
+/// Arenas no running block holds, most recently returned first (its pages
+/// are the warmest). Every host thread that runs blocks — a launch's caller
+/// or any helper of the shared host pool — takes an arena when its block
+/// creates its first lane and returns it when the block's last lane is
+/// freed. Leaked like the shared host pool, so a block that runs during
+/// static destruction still finds it.
+class ArenaPool {
+ public:
+  LaneArena* take() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (LaneArena* a = idle_) {
+        idle_ = a->next_idle;
+        return a;
+      }
+    }
+    return new LaneArena;  // owned by the pool from here on; never freed
+  }
+
+  void give(LaneArena* a) noexcept {
+    std::lock_guard<std::mutex> lock(mu_);
+    a->next_idle = idle_;
+    idle_ = a;
+  }
+
+ private:
+  std::mutex mu_;
+  LaneArena* idle_ = nullptr;
+};
+
+ArenaPool& arena_pool() {
+  static ArenaPool* pool = new ArenaPool;
+  return *pool;
+}
+
+thread_local LaneArena* t_arena = nullptr;  // held while a block runs here
 
 }  // namespace
 
 namespace detail {
-void* lane_frame_alloc(std::size_t bytes) { return t_arena.allocate(bytes); }
-void lane_frame_free() noexcept { t_arena.release(); }
+void* lane_frame_alloc(std::size_t bytes) {
+  if (t_arena == nullptr) t_arena = arena_pool().take();
+  return t_arena->allocate(bytes);
+}
+void lane_frame_free() noexcept {
+  if (t_arena->release()) {
+    arena_pool().give(t_arena);
+    t_arena = nullptr;
+  }
+}
 }  // namespace detail
 
-std::size_t lane_arena_bytes() { return t_arena.bytes(); }
+std::size_t lane_arena_bytes() {
+  return g_arena_bytes.load(std::memory_order_relaxed);
+}
 
 }  // namespace regla::simt

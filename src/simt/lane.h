@@ -6,10 +6,13 @@
 // switching lanes is a plain indirect call into the coroutine, with no stack
 // to swap and nothing for a sanitizer to be told about.
 //
-// Frames come from a per-host-thread bump arena. A block's lanes are
-// created, stepped and destroyed on one host thread, so the arena needs no
-// locking; it rewinds when the last live frame is freed (at the end of every
-// block) and keeps its chunks, so a steady-state block allocates nothing.
+// Frames come from a bump arena the host thread holds while it runs a
+// block. A block's lanes are created, stepped and destroyed on one host
+// thread, so the arena needs no locking; it rewinds when the last live frame
+// is freed (at the end of every block) and goes back to a process-wide pool
+// with its chunks. So a steady-state block allocates nothing, and the
+// process holds as many arenas as blocks have ever run at once, not one per
+// thread that has ever run a block.
 #pragma once
 
 #include <coroutine>
@@ -26,8 +29,9 @@ void* lane_frame_alloc(std::size_t bytes);
 void lane_frame_free() noexcept;
 }  // namespace detail
 
-/// Bytes this host thread's lane arena holds. Chunks are kept for the
-/// thread's lifetime, so a repeat of an already-run block shape adds none.
+/// Bytes every lane arena in the process holds. Arenas and their chunks are
+/// kept for the process lifetime, so a repeat of an already-run block shape
+/// adds none.
 std::size_t lane_arena_bytes();
 
 /// The awaitable `co_await ctx.sync()` suspends on: control returns to the

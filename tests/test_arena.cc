@@ -188,7 +188,6 @@ struct ProbeSolver {
 
   RuntimeOptions options() {
     RuntimeOptions opt;
-    opt.host_threads_per_stream = 1;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
       base.store(a.data());
@@ -411,7 +410,6 @@ TEST(RuntimeRagged, MixedShapesShareOneBatch) {
 // the submitted shapes.
 TEST(RuntimeRagged, PaddedSolveMatchesCpuOraclePerSubProblem) {
   RuntimeOptions opt;
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 10s;
   opt.ragged = true;
   Runtime rt(opt);
@@ -451,7 +449,6 @@ TEST(RuntimeRagged, PaddedSolveMatchesCpuOraclePerSubProblem) {
 // mixed m x n match the cpu oracle's solutions.
 TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {
   RuntimeOptions opt;
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 10s;
   opt.ragged = true;
   Runtime rt(opt);
@@ -496,7 +493,6 @@ TEST(RuntimeRagged, ReplayKeysOnTheEmbedding) {
   const auto seconds_per_batch = [](bool replay) {
     RuntimeOptions opt;
     opt.devices = {{"dev0", {}, 1}};
-    opt.host_threads_per_stream = 1;
     opt.max_batch_delay = 10s;
     opt.ragged = true;
     opt.replay = replay;

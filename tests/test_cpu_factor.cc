@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/generators.h"
@@ -233,6 +237,108 @@ TEST(ThreadPool, EmptyAndSingleton) {
   int count = 0;
   pool.parallel_for(1, [&](int) { count++; });
   EXPECT_EQ(count, 1);
+}
+
+// Four threads share one pool: every call runs each of its own indices
+// exactly once, however the helpers split between them.
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce) {
+  constexpr int kCallers = 4, kRounds = 50;
+  ThreadPool pool(4);
+  std::latch start(kCallers);
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int c = 0; c < kCallers; ++c)
+    hits.emplace_back(static_cast<std::size_t>(kRounds * (97 + c)));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      const int count = 97 + c;  // uneven, so chunks differ in size
+      for (int r = 0; r < kRounds; ++r)
+        pool.parallel_for(count, [&](int i) { ++hits[c][r * count + i]; });
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c)
+    for (const auto& h : hits[c]) ASSERT_EQ(h.load(), 1) << "caller " << c;
+}
+
+// An exception escaping one call's fn reaches that call's caller and no
+// other; the callers that did not throw see every index run.
+TEST(ThreadPool, ConcurrentCallersGetOnlyTheirOwnException) {
+  constexpr int kCallers = 4, kRounds = 30, kCount = 64;
+  ThreadPool pool(4);
+  std::latch start(kCallers);
+  std::vector<int> caught(kCallers, 0), wrong(kCallers, 0), clean(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      const bool thrower = c % 2 == 0;
+      for (int r = 0; r < kRounds; ++r) {
+        std::atomic<int> ran{0};
+        try {
+          pool.parallel_for(kCount, [&](int i) {
+            ++ran;
+            if (thrower && i == kCount - 1)
+              throw Error("caller " + std::to_string(c));
+          });
+          if (ran.load() == kCount) ++clean[c];
+        } catch (const Error& e) {
+          if (std::string(e.what()).find("caller " + std::to_string(c)) !=
+              std::string::npos)
+            ++caught[c];
+          else
+            ++wrong[c];
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong[c], 0) << "caller " << c << " saw another's exception";
+    if (c % 2 == 0) {
+      EXPECT_EQ(caught[c], kRounds) << "caller " << c;
+    } else {
+      EXPECT_EQ(clean[c], kRounds) << "caller " << c;
+      EXPECT_EQ(caught[c], 0) << "caller " << c;
+    }
+  }
+}
+
+// One call's chunks hold every helper (and that caller) on a latch. Three
+// more callers must still finish — each runs its own chunks — while the
+// first call is blocked, so no call waits behind another's work.
+TEST(ThreadPool, ConcurrentCallersDoNotWaitBehindBusyHelpers) {
+  ThreadPool pool(4);
+  const int threads = pool.workers();  // 3 helpers + the blocked caller
+  std::latch held(threads);
+  std::latch gate(1);
+  std::thread blocked([&] {
+    pool.parallel_for(threads, [&](int) {
+      held.count_down();
+      gate.wait();
+    });
+  });
+  held.wait();  // every helper is now inside the blocked call
+
+  std::atomic<int> finished{0};
+  std::vector<std::atomic<int>> sums(3);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&, c] {
+      pool.parallel_for(100, [&](int i) { sums[c] += i; });
+      ++finished;
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < 3 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(finished.load(), 3) << "a caller waited behind the blocked call";
+  gate.count_down();  // release the blocked call either way, then join
+  for (auto& t : callers) t.join();
+  blocked.join();
+  for (int c = 0; c < 3; ++c) EXPECT_EQ(sums[c].load(), 99 * 100 / 2);
 }
 
 TEST(Batched, CpuQrBatch) {

@@ -161,7 +161,6 @@ struct FlakySolver {
 
   RuntimeOptions options() {
     RuntimeOptions opt;
-    opt.host_threads_per_stream = 1;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
       if (delay.count() > 0) std::this_thread::sleep_for(delay);
@@ -355,7 +354,6 @@ TEST(RuntimeFaultSolve, CpuFallbackAgreesWithDevice) {
 
   const auto run = [&](RuntimeOptions opt, const simt::DeviceConfig& cfg) {
     opt.devices = {{"dev0", cfg, 1}};
-    opt.host_threads_per_stream = 1;
     opt.max_batch_delay = 0us;
     Runtime rt(opt);
     BatchF a = a0, b = b0;
@@ -393,7 +391,6 @@ TEST(RuntimeFaultSolve, CircuitBreakerSkipsBrokenDevice) {
   RuntimeOptions opt;
   // One stream, so both requests hit the same breaker.
   opt.devices = {{"dev0", broken, 1}};
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 0us;
   opt.max_retries = 0;
   opt.circuit_break_after = 1;
@@ -426,7 +423,6 @@ TEST(RuntimeFaultSolve, FlakyDeviceBurstFullyAccounted) {
   flaky.faults.launch_failure_rate = 0.10;
   RuntimeOptions opt;
   opt.devices = {{"dev0", flaky, 2}};
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = 200us;
   opt.max_retries = 3;
   opt.retry_backoff = 100us;

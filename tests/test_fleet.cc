@@ -3,14 +3,17 @@
 // runtime's routing + re-route behavior over it.
 //
 // FleetRouter.* / FleetCache.* / FleetUnit.* are lock-light unit tests;
-// FleetLifecycle.* drive a Runtime through the solve_override hook (no
+// FleetSharedPool.* launches on two streams at once over the shared host
+// pool; FleetLifecycle.* drive a Runtime through the solve_override hook (no
 // kernels, TSan-friendly); FleetFault.* run real kernels under deterministic
 // seeded faults and hard kills.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "obs/metrics.h"
 #include "planner/planner.h"
 #include "runtime/runtime.h"
+#include "simt/engine.h"
 #include "test_util.h"
 
 namespace regla {
@@ -146,7 +150,6 @@ fleet::Fleet::Options two_device_options() {
   fleet::Fleet::Options opt;
   opt.devices = {DeviceSpec{"a", simt::DeviceConfig::quadro6000(), 1},
                  DeviceSpec{"b", simt::DeviceConfig::quadro6000(), 1}};
-  opt.host_threads_per_stream = 1;
   return opt;
 }
 
@@ -254,6 +257,121 @@ TEST(FleetMetrics, PublishMetricsRestampsTopology) {
             static_cast<double>(DeviceState::active));
 }
 
+// --- Streams share one host pool ---------------------------------------------
+
+constexpr int kWaveBlocks = 112;  // one full GF100 wave of 64-thread blocks
+constexpr int kBlockThreads = 64;
+
+/// Two barriers, shared memory, a register tile and a per-element answer, so
+/// both the outputs and the folded accounting depend on every block running.
+simt::KernelFn staged_kernel(float* in, float* out) {
+  return [in, out](simt::BlockCtx& ctx) -> simt::Lane {
+    auto tile = ctx.reg_tile<simt::gfloat>(4, 4);
+    auto sh = ctx.shared<float>(kBlockThreads);
+    const int i = ctx.block() * kBlockThreads + ctx.tid();
+    tile.set(0, 0, ctx.global(in).ld(i));
+    co_await ctx.sync();
+    sh.st(ctx.tid(), tile.get(0, 0) * simt::gfloat(1.5f) + simt::gfloat(0.25f));
+    co_await ctx.sync();
+    ctx.global(out).st(i, sh.ld((ctx.tid() + 1) % kBlockThreads) /
+                              simt::gfloat(3.0f));
+  };
+}
+
+void expect_launches_identical(const simt::LaunchResult& a,
+                               const simt::LaunchResult& b) {
+  EXPECT_EQ(a.chip_cycles, b.chip_cycles);  // bitwise: no tolerance
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.block_cycles_avg, b.block_cycles_avg);
+  EXPECT_EQ(a.blocks_per_sm, b.blocks_per_sm);
+  EXPECT_EQ(a.occupancy_limiter, b.occupancy_limiter);
+  EXPECT_EQ(a.waves, b.waves);
+  EXPECT_EQ(a.shared_bytes_per_block, b.shared_bytes_per_block);
+  EXPECT_EQ(a.totals.flops, b.totals.flops);
+  EXPECT_EQ(a.totals.divs, b.totals.divs);
+  EXPECT_EQ(a.totals.sqrts, b.totals.sqrts);
+  EXPECT_EQ(a.totals.sh_accesses, b.totals.sh_accesses);
+  EXPECT_EQ(a.totals.gl_bytes, b.totals.gl_bytes);
+  EXPECT_EQ(a.totals.spill_bytes, b.totals.spill_bytes);
+  EXPECT_EQ(a.totals.syncs, b.totals.syncs);
+  EXPECT_EQ(a.totals.addr_truncations, b.totals.addr_truncations);
+  ASSERT_EQ(a.breakdown.size(), b.breakdown.size());
+  for (std::size_t k = 0; k < a.breakdown.size(); ++k) {
+    EXPECT_EQ(a.breakdown[k].panel, b.breakdown[k].panel);
+    EXPECT_EQ(a.breakdown[k].tag, b.breakdown[k].tag);
+    EXPECT_EQ(a.breakdown[k].cycles, b.breakdown[k].cycles);
+  }
+}
+
+// Two fleet streams launch the same replay-eligible full wave at once from
+// two threads, so their blocks interleave on the shared host pool: a replay
+// miss (representatives instrumented, the rest fast) and then two hits.
+// Outputs and LaunchResults must match one serial launch bit for bit —
+// which host thread runs a block never changes its numerics or accounting.
+TEST(FleetSharedPool, ConcurrentReplayLaunchesMatchSerialLaunch) {
+  constexpr int kLaunches = 3;
+  constexpr int kElems = kWaveBlocks * kBlockThreads;
+  constexpr std::uint64_t kSalt = 0x5eed;
+  simt::LaunchSpec spec;
+  spec.blocks = kWaveBlocks;
+  spec.threads = kBlockThreads;
+  spec.name = "fleet_shared_pool";
+
+  std::vector<std::vector<float>> in(kLaunches, std::vector<float>(kElems));
+  for (int l = 0; l < kLaunches; ++l)
+    for (int i = 0; i < kElems; ++i)
+      in[l][i] = static_cast<float>((i * 7 + l * 13) % 101) / 17.0f;
+
+  struct Run {
+    std::vector<std::vector<float>> out;
+    std::vector<simt::LaunchResult> res;
+  };
+  const auto run_on = [&](simt::Device& dev) {
+    Run r;
+    const simt::Device::ReplayScope scope(dev, /*data_independent=*/true,
+                                          kSalt);
+    for (int l = 0; l < kLaunches; ++l) {
+      r.out.emplace_back(kElems, 0.0f);
+      r.res.push_back(dev.launch(spec, staged_kernel(in[l].data(),
+                                                     r.out.back().data())));
+    }
+    return r;
+  };
+
+  simt::Device serial;
+  serial.set_host_workers(1);  // every block on this thread, in order
+  serial.set_replay(true);
+  if (!serial.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  const Run want = run_on(serial);
+
+  auto planner = std::make_shared<planner::Planner>();
+  fleet::Stream a(simt::DeviceConfig::quadro6000(), planner);
+  fleet::Stream b(simt::DeviceConfig::quadro6000(), planner);
+  Run got_a, got_b;
+  std::latch start(2);
+  std::thread ta([&] {
+    start.arrive_and_wait();
+    got_a = run_on(a.device());
+  });
+  std::thread tb([&] {
+    start.arrive_and_wait();
+    got_b = run_on(b.device());
+  });
+  ta.join();
+  tb.join();
+
+  for (const Run* got : {&got_a, &got_b}) {
+    ASSERT_EQ(got->res.size(), want.res.size());
+    for (int l = 0; l < kLaunches; ++l) {
+      SCOPED_TRACE("launch " + std::to_string(l));
+      expect_launches_identical(got->res[l], want.res[l]);
+      EXPECT_EQ(std::memcmp(got->out[l].data(), want.out[l].data(),
+                            kElems * sizeof(float)),
+                0);
+    }
+  }
+}
+
 // --- Runtime over the fleet (override-driven, no kernels) ------------------
 
 std::atomic<int> g_slow_solves{0};
@@ -280,7 +398,6 @@ RuntimeOptions fleet_queue_options(int devices, int streams_each = 1) {
     opt.devices.push_back(DeviceSpec{"dev" + std::to_string(d),
                                      simt::DeviceConfig::quadro6000(),
                                      streams_each});
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = std::chrono::microseconds{0};  // flush on arrival
   opt.solve_override = slow_override;
   return opt;
@@ -371,7 +488,6 @@ TEST(FleetFault, RerouteLandsOnHealthyDeviceBeforeCpu) {
   broken.faults.seed = 0xfee7;
   opt.devices = {DeviceSpec{"broken", broken, 1},
                  DeviceSpec{"healthy", simt::DeviceConfig::quadro6000(), 1}};
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = std::chrono::microseconds{0};
   opt.max_retries = 1;
   opt.retry_backoff = std::chrono::microseconds{0};
@@ -404,7 +520,6 @@ TEST(FleetFault, KillMidTrafficPreservesAccounting) {
   RuntimeOptions opt;
   opt.devices = {DeviceSpec{"dev0", simt::DeviceConfig::quadro6000(), 1},
                  DeviceSpec{"dev1", simt::DeviceConfig::quadro6000(), 1}};
-  opt.host_threads_per_stream = 1;
   opt.max_batch_delay = std::chrono::microseconds{200};
   opt.max_retries = 1;
   opt.retry_backoff = std::chrono::microseconds{0};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -178,7 +179,7 @@ TEST(Lane, ThrowMidBlockUnwindsEveryLane) {
 
 TEST(Lane, RepeatLaunchGrowsArenaByZeroBytes) {
   Device dev;
-  dev.set_host_workers(1);  // blocks run on this thread, on its arena
+  dev.set_host_workers(1);  // every block on the launching thread
   LaunchSpec spec;
   spec.blocks = 3;
   spec.threads = 64;
@@ -197,6 +198,10 @@ TEST(Lane, RepeatLaunchGrowsArenaByZeroBytes) {
   const std::size_t after_first = lane_arena_bytes();
   EXPECT_GT(after_first, 0u);
   dev.launch(spec, kernel);
+  EXPECT_EQ(lane_arena_bytes(), after_first);
+  // Arenas are not per thread: a block on a thread that never ran one takes
+  // the arena the last block returned instead of growing its own.
+  std::thread([&] { dev.launch(spec, kernel); }).join();
   EXPECT_EQ(lane_arena_bytes(), after_first);
 }
 

@@ -136,7 +136,6 @@ TEST(OpsZoo, TrsmFlagsZeroDiagonalLikeCpu) {
 TEST(OpsZoo, RuntimeSubmitCholeskyAndTrsm) {
   runtime::RuntimeOptions opt;
   opt.devices = {{"dev0", {}, 1}};
-  opt.host_threads_per_stream = 1;
   runtime::Runtime rt(opt);
   const int n = 24;
 

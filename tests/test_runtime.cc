@@ -48,7 +48,6 @@ SolveReport doubling_override(const Signature&, BatchF& a, BatchF& b) {
 
 RuntimeOptions queue_options() {
   RuntimeOptions opt;
-  opt.host_threads_per_stream = 1;
   opt.solve_override = doubling_override;
   return opt;
 }
@@ -394,7 +393,6 @@ TEST(RuntimeQueue, PreferredBatchStaysWithinFlushCap) {
 TEST(RuntimeSolve, GaussJordanResidualsSmall) {
   RuntimeOptions opt;
   opt.devices = {{"dev0", {}, 1}};
-  opt.host_threads_per_stream = 2;
   opt.max_batch_delay = 10s;
   Runtime rt(opt);
 
@@ -422,7 +420,6 @@ TEST(RuntimeSolve, GaussJordanResidualsSmall) {
 TEST(RuntimeSolve, ComplexQRCoalesces) {
   RuntimeOptions opt;
   opt.devices = {{"dev0", {}, 1}};
-  opt.host_threads_per_stream = 2;
   opt.max_batch_delay = 10s;
   Runtime rt(opt);
 
