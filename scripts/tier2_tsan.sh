@@ -20,8 +20,9 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # ThreadPool.* include concurrent parallel_for callers on one pool, and
 # FleetSharedPool.* two streams' launches interleaving on the shared host
 # pool every Device simulates on. RuntimeQueue.* drive the runtime through
-# the solve_override hook (pure queueing, no kernels); RuntimeSolve.* add
-# real kernel launches;
+# the solve_override hook (pure queueing, no kernels), including submitters
+# on many signatures racing size, deadline (dispatcher) and manual flushes;
+# RuntimeSolve.* add real kernel launches;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and
@@ -31,7 +32,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # staged/view assembly tiers from concurrent submitters.
 PATTERNS=(
   'ThreadPool*' 'PlanCache*' 'RuntimeQueue*' 'RuntimeSolve*' 'RuntimeFault*'
-  'EngineFault*' 'TimerWheel*' 'Lane*' 'Obs*' 'OpsRegistry*' 'OpsZoo*'
+  'EngineFault*' 'Lane*' 'Obs*' 'OpsRegistry*' 'OpsZoo*'
   'Fleet*' 'ReplayVerify*' 'Arena*' 'RuntimeArena*' 'RuntimeRagged*'
 )
 

@@ -71,8 +71,9 @@ struct Plan {
   /// Threads per block for per-block/tiled launches (64 or 256); the fixed
   /// bundle size for per-thread launches.
   int threads = 0;
-  /// Division/sqrt mode the plan was scored under (mirrors cfg.fast_math;
-  /// candidates for the other mode appear only in explore_fast_math runs).
+  /// Division/sqrt mode the plan was scored under (always cfg.fast_math:
+  /// the fingerprint keys plans by it, and launches run under the device's
+  /// own setting).
   bool fast_math = true;
   /// Problems resident on the chip in one launch wave under this mapping
   /// (per-thread: resident threads; per-block: resident blocks; tiled: the

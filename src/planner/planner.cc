@@ -294,13 +294,6 @@ std::vector<Plan> Planner::candidates(const regla::simt::DeviceConfig& cfg,
                                       const ProblemDesc& desc) const {
   std::vector<Plan> out;
   enumerate(cfg, desc, out);
-  if (opt_.explore_fast_math) {
-    regla::simt::DeviceConfig flipped = cfg;
-    flipped.fast_math = !flipped.fast_math;
-    std::vector<Plan> alt;
-    enumerate(flipped, desc, alt);
-    out.insert(out.end(), alt.begin(), alt.end());
-  }
   std::stable_sort(out.begin(), out.end(), [](const Plan& a, const Plan& b) {
     return a.predicted_cycles < b.predicted_cycles;
   });
@@ -339,8 +332,7 @@ Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
       std::vector<Plan> sample_cands = candidates(cfg, sample);
       double predicted_sample = 0;
       for (const Plan& sc : sample_cands)
-        if (sc.approach == cands[i].approach && sc.threads == cands[i].threads &&
-            sc.fast_math == cands[i].fast_math)
+        if (sc.approach == cands[i].approach && sc.threads == cands[i].threads)
           predicted_sample = sc.predicted_cycles;
       if (best_measured < 0 || measured < best_measured) {
         best_measured = measured;

@@ -62,9 +62,6 @@ struct PlannerOptions {
   int autotune_top_k = 3;
   /// Problems per measured sample launch (enough for full chip residency).
   int autotune_sample_batch = 112;
-  /// Also enumerate candidates with fast_math flipped from the config's
-  /// setting (changes numerics — opt-in).
-  bool explore_fast_math = false;
 };
 
 class Planner {

@@ -11,21 +11,6 @@ namespace regla {
 
 namespace {
 
-/// Temporarily applies a plan's fast_math choice to the device config.
-class FastMathScope {
- public:
-  FastMathScope(simt::Device& dev, bool plan_fast_math, bool apply)
-      : dev_(dev), saved_(dev.config().fast_math) {
-    if (apply && plan_fast_math != saved_)
-      dev_.mutable_config().fast_math = plan_fast_math;
-  }
-  ~FastMathScope() { dev_.mutable_config().fast_math = saved_; }
-
- private:
-  simt::Device& dev_;
-  bool saved_;
-};
-
 void fill_matrix(BatchF& batch, planner::FillKind kind, std::uint64_t seed) {
   switch (kind) {
     case planner::FillKind::uniform: fill_uniform(batch, seed); return;
@@ -65,7 +50,6 @@ SolveReport Solver::run(planner::Op op, ops::Call call) {
   const planner::Plan plan = planner_->plan(
       dev_.config(), planner::ProblemDesc{op, call.m(), call.n(), call.count(),
                                           call.dtype()});
-  FastMathScope fm(dev_, plan.fast_math, opt_.apply_plan_fast_math);
   SolveReport rep = ops::run_device(dev_, op, plan, call);
   const planner::PlannerStats s = planner_->stats();
   rep.planner_hits = s.cache_hits;
@@ -138,7 +122,6 @@ double Solver::measure(const planner::ProblemDesc& d,
   // not break down, SPD for Cholesky). The candidate's threads/layout ride
   // in through SolveOptions so block_opts() reconstructs them at dispatch.
   const planner::OpTraits& traits = planner::op_traits(d.op);
-  FastMathScope fm(dev_, cand.fast_math, opt_.apply_plan_fast_math);
   core::SolveOptions sopts;
   sopts.threads = cand.threads;
   sopts.layout = cand.layout;

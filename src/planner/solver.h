@@ -16,8 +16,7 @@
 //
 // Two options structs, two scopes:
 //   - regla::SolverConfig — constructor-level: how THIS Solver plans
-//     (planner options, autotune, whether a plan's fast_math choice is
-//     applied to the device). Fixed for the Solver's lifetime.
+//     (planner options, autotune). Fixed for the Solver's lifetime.
 //   - regla::SolveOptions (= core::SolveOptions) — request-level: per-call
 //     knobs (solve method, per-block thread override, register layout),
 //     carried to the kernels inside ops::Call.
@@ -43,9 +42,6 @@ using SolveOptions = core::SolveOptions;
 /// SolveOptions, passed to each solve instead.)
 struct SolverConfig {
   planner::Planner::Options planner;
-  /// Apply a plan's fast_math choice to the device for the launch (only
-  /// differs from the config when planner.explore_fast_math is on).
-  bool apply_plan_fast_math = true;
 };
 
 /// The planner-backed facade over the op registry. Holds a reference to the

@@ -68,11 +68,7 @@ std::size_t SignatureHash::operator()(const Signature& s) const {
 Runtime::Runtime(Options opt)
     : opt_(std::move(opt)),
       labels_(next_runtime_labels()),
-      m_(labels_),
-      wheel_(Clock::now(), opt_.timer_granularity <= decltype(opt_.timer_granularity){0}
-                               ? std::chrono::microseconds{100}
-                               : opt_.timer_granularity,
-             std::max<std::size_t>(1, opt_.timer_slots)) {
+      m_(labels_) {
   REGLA_CHECK_MSG(!opt_.planner.autotune,
                   "runtime streams share one planner; autotune measurement "
                   "would race across their devices — plan without it");
@@ -146,52 +142,42 @@ void validate_c64(planner::Op op, BatchC& a) {
 
 }  // namespace
 
-void Runtime::apply_ragged(planner::Op op, const BatchF& a,
-                           Signature& sig) const {
-  if (!opt_.ragged) return;
-  // Shape admissibility was already validated at the submitted dims; the
-  // tile helper returns {0,0} for shapes/ops the embedding cannot serve
-  // (then the request coalesces signature-pure, exactly as before).
-  const planner::RaggedTile tile =
-      planner::ragged_tile(planner::op_traits(op), a.rows(), a.cols());
-  if (!tile) return;
-  sig.m = tile.m;
-  sig.n = tile.n;
-  sig.ragged = true;
+Signature Runtime::admit_f32(planner::Op op, BatchF a, BatchF b,
+                             const core::SolveOptions& opts,
+                             Payload& p) const {
+  validate_f32(op, a, b);
+  Signature sig{op, a.rows(), a.cols(), planner::Dtype::f32,
+                opts.threads, opts.layout};
+  // Shape admissibility was validated at the submitted dims; ragged_tile
+  // returns {0,0} for shapes/ops the embedding cannot serve (then the
+  // request coalesces signature-pure).
+  if (opt_.ragged)
+    if (const planner::RaggedTile tile = planner::ragged_tile(
+            planner::op_traits(op), a.rows(), a.cols())) {
+      sig.m = tile.m;
+      sig.n = tile.n;
+      sig.ragged = true;
+    }
+  p.a = std::move(a);
+  p.b = std::move(b);
+  return sig;
 }
 
 std::future<Report> Runtime::submit(planner::Op op, BatchF a, BatchF b,
                                     const core::SolveOptions& opts) {
-  validate_f32(op, a, b);
-  Signature sig{op, a.rows(), a.cols(), planner::Dtype::f32,
-                opts.threads, opts.layout};
-  apply_ragged(op, a, sig);
-  Payload p;
-  p.a = std::move(a);
-  p.b = std::move(b);
-  return enqueue(sig, std::move(p), /*blocking=*/true, nullptr);
+  return submit(op, std::move(a), std::move(b), SubmitOptions{opts});
 }
 
 std::future<Report> Runtime::submit(planner::Op op, BatchC a,
                                     const core::SolveOptions& opts) {
-  validate_c64(op, a);
-  const Signature sig{op, a.rows(), a.cols(), planner::Dtype::c64,
-                      opts.threads, opts.layout};
-  Payload p;
-  p.ca = std::move(a);
-  p.is_complex = true;
-  return enqueue(sig, std::move(p), /*blocking=*/true, nullptr);
+  return submit(op, std::move(a), SubmitOptions{opts});
 }
 
 std::future<Report> Runtime::submit(planner::Op op, BatchF a, BatchF b,
                                     const SubmitOptions& sopts) {
-  validate_f32(op, a, b);
-  Signature sig{op, a.rows(), a.cols(), planner::Dtype::f32,
-                sopts.solve.threads, sopts.solve.layout};
-  apply_ragged(op, a, sig);
   Payload p;
-  p.a = std::move(a);
-  p.b = std::move(b);
+  const Signature sig =
+      admit_f32(op, std::move(a), std::move(b), sopts.solve, p);
   return enqueue(sig, std::move(p), /*blocking=*/true, nullptr,
                  sopts.deadline);
 }
@@ -210,13 +196,8 @@ std::future<Report> Runtime::submit(planner::Op op, BatchC a,
 
 std::optional<std::future<Report>> Runtime::try_submit(
     planner::Op op, BatchF a, BatchF b, const core::SolveOptions& opts) {
-  validate_f32(op, a, b);
-  Signature sig{op, a.rows(), a.cols(), planner::Dtype::f32,
-                opts.threads, opts.layout};
-  apply_ragged(op, a, sig);
   Payload p;
-  p.a = std::move(a);
-  p.b = std::move(b);
+  const Signature sig = admit_f32(op, std::move(a), std::move(b), opts, p);
   bool rejected = false;
   auto fut = enqueue(sig, std::move(p), /*blocking=*/false, &rejected);
   if (rejected) return std::nullopt;
@@ -329,7 +310,7 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     } else {
       while (q.pending_problems >= q.target)
         ready.push_back(take_batch(q, FlushReason::size));
-      update_timer(q);
+      update_flush_at(q);
     }
   }
   for (Batch& b : ready) launch(std::move(b));
@@ -356,65 +337,46 @@ Runtime::Batch Runtime::take_batch(Queue& q, FlushReason reason) {
     batch.problems += k;
   }
   q.pending_problems -= batch.problems;
+  q.min_deadline = Clock::time_point::max();
+  for (const Pending& req : q.pending)
+    q.min_deadline = std::min(q.min_deadline, req.deadline);
   if (q.space_waiters > 0) cv_space_.notify_all();
-  update_timer(q);
+  update_flush_at(q);
   return batch;
 }
 
-void Runtime::update_timer(Queue& q) {
+void Runtime::update_flush_at(Queue& q) {
   if (opt_.max_batch_delay.count() == 0) return;
-  if (q.pending.empty()) {
-    q.min_deadline = Clock::time_point::max();
-    if (q.timer_id != 0) {
-      wheel_.cancel(q.timer_id);
-      timer_owner_.erase(q.timer_id);
-      q.timer_id = 0;
-    }
-    return;
-  }
   // A request whose own deadline lands before the coalescing window closes
   // pulls the flush forward — waiting the full max_batch_delay would hand
   // it to the workers already expired.
-  Clock::time_point deadline =
-      q.pending.front().enqueued + opt_.max_batch_delay;
-  if (q.min_deadline < deadline) deadline = q.min_deadline;
-  if (q.timer_id != 0 && q.timer_deadline == deadline) return;
-  if (q.timer_id != 0) {
-    wheel_.cancel(q.timer_id);
-    timer_owner_.erase(q.timer_id);
-  }
-  q.timer_id = next_timer_id_++;
-  q.timer_deadline = deadline;
-  timer_owner_[q.timer_id] = q.sig;
-  wheel_.arm(q.timer_id, deadline);
-  cv_dispatch_.notify_one();
+  const Clock::time_point was = q.flush_at;
+  q.flush_at = q.pending.empty()
+                   ? Clock::time_point::max()
+                   : std::min(q.pending.front().enqueued + opt_.max_batch_delay,
+                              q.min_deadline);
+  // A later flush_at needs no wake-up: the dispatcher finds nothing due at
+  // the earlier time and sleeps again until the new minimum.
+  if (q.flush_at < was) cv_dispatch_.notify_one();
 }
 
 void Runtime::dispatcher_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!dispatcher_stop_) {
-    const Clock::time_point next = wheel_.next_deadline();
-    if (next == Clock::time_point::max()) {
+    Clock::time_point next = Clock::time_point::max();
+    for (const auto& [sig, q] : queues_) next = std::min(next, q.flush_at);
+    if (next == Clock::time_point::max())
       cv_dispatch_.wait(lock);
-    } else {
-      const Clock::time_point now = Clock::now();
-      if (next > now) cv_dispatch_.wait_until(lock, next);
-    }
+    else if (next > Clock::now())
+      cv_dispatch_.wait_until(lock, next);
     if (dispatcher_stop_) break;
 
     std::vector<Batch> ready;
-    for (std::uint64_t id : wheel_.advance(Clock::now())) {
-      const auto owner = timer_owner_.find(id);
-      if (owner == timer_owner_.end()) continue;
-      const Signature sig = owner->second;
-      timer_owner_.erase(owner);
-      const auto qit = queues_.find(sig);
-      if (qit == queues_.end() || qit->second.timer_id != id) continue;
-      Queue& q = qit->second;
-      q.timer_id = 0;
-      while (!q.pending.empty())
-        ready.push_back(take_batch(q, FlushReason::deadline));
-    }
+    const Clock::time_point now = Clock::now();
+    for (auto& [sig, q] : queues_)
+      if (q.flush_at <= now)
+        while (!q.pending.empty())
+          ready.push_back(take_batch(q, FlushReason::deadline));
     if (!ready.empty()) {
       lock.unlock();
       for (Batch& b : ready) launch(std::move(b));

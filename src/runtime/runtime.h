@@ -61,7 +61,6 @@
 #include "planner/solver.h"
 #include "runtime/arena.h"
 #include "runtime/errors.h"
-#include "runtime/timer_wheel.h"
 
 namespace regla::runtime {
 
@@ -164,9 +163,6 @@ struct RuntimeOptions {
   /// (target batch = target_waves * Plan::concurrent, capped by
   /// max_flush_problems).
   int target_waves = 1;
-  /// Timer wheel slot width for deadline tracking.
-  std::chrono::microseconds timer_granularity{100};
-  std::size_t timer_slots = 256;
   /// Replay memoization on the stream devices (fleet::FleetOptions::replay,
   /// simt/replay.h): per launch shape, simulate representative blocks and
   /// replay their cycle accounting for the rest. Timing-exact for the
@@ -398,14 +394,14 @@ class Runtime {
     std::deque<Pending> pending;
     int pending_problems = 0;
     int target = 0;            ///< model-preferred flush size
-    std::uint64_t timer_id = 0;  ///< armed wheel timer, 0 = none
-    Clock::time_point timer_deadline{};  ///< deadline the armed timer tracks
     int space_waiters = 0;     ///< submitters blocked on backpressure
-    /// Earliest per-request deadline among pending (max() = none). Updated
-    /// incrementally on push and reset when the queue drains; after a
-    /// partial flush it may be stale-early, which only costs an early
-    /// deadline-reason flush, never a late one.
+    /// Earliest per-request deadline among pending (max() = none): lowered
+    /// on push, recomputed from the requests left after every take.
     Clock::time_point min_deadline = Clock::time_point::max();
+    /// When the dispatcher drains this queue (FlushReason::deadline): the
+    /// oldest request's enqueue time + max_batch_delay, pulled forward to
+    /// min_deadline; max() while empty or when coalescing is off.
+    Clock::time_point flush_at = Clock::time_point::max();
   };
   struct Batch {
     Signature sig;
@@ -442,16 +438,20 @@ class Runtime {
   bool resilient() const {
     return opt_.max_retries > 0 || opt_.cpu_fallback;
   }
-  /// Map sig to its ragged bucket tile when ragged coalescing applies.
-  void apply_ragged(planner::Op op, const BatchF& a, Signature& sig) const;
+  /// The one f32 admission path (submit and try_submit): validate the
+  /// payload, build its signature (the ragged bucket tile when ragged
+  /// coalescing applies) and move the matrices into `p`.
+  Signature admit_f32(planner::Op op, BatchF a, BatchF b,
+                      const core::SolveOptions& opts, Payload& p) const;
 
   std::future<Report> enqueue(const Signature& sig, Payload payload,
                               bool blocking, bool* rejected,
                               std::chrono::microseconds deadline = {});
   /// Pop whole requests from `q` up to the flush cap (requires mu_ held).
   Batch take_batch(Queue& q, FlushReason reason);
-  /// Re-arm or cancel q's deadline timer after a mutation (requires mu_).
-  void update_timer(Queue& q);
+  /// Recompute q.flush_at after a mutation, waking the dispatcher when it
+  /// moved earlier (requires mu_).
+  void update_flush_at(Queue& q);
   void launch(Batch&& batch);
   void execute(Batch& batch);
   /// The no-routable-device path: every eligible fleet member is drained or
@@ -532,17 +532,16 @@ class Runtime {
   std::unique_ptr<fleet::Fleet> fleet_;
   std::unique_ptr<cpu::ThreadPool> pool_;
 
-  mutable std::mutex mu_;  ///< queues, wheel, inflight, closed
+  mutable std::mutex mu_;  ///< queues, inflight, closed
+  /// Never erased: the dispatcher's scan for the earliest flush_at covers
+  /// every signature this Runtime has seen.
   std::unordered_map<Signature, Queue, SignatureHash> queues_;
-  TimerWheel wheel_;
-  std::unordered_map<std::uint64_t, Signature> timer_owner_;
-  std::uint64_t next_timer_id_ = 1;
   int inflight_ = 0;
   bool closed_ = false;
   bool dispatcher_stop_ = false;
   std::condition_variable cv_space_;     ///< backpressure waiters
   std::condition_variable cv_idle_;      ///< wait_idle / shutdown drain
-  std::condition_variable cv_dispatch_;  ///< dispatcher timer wakeups
+  std::condition_variable cv_dispatch_;  ///< a flush_at moved earlier
 
   std::thread dispatcher_;
 };

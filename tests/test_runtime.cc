@@ -18,7 +18,6 @@
 #include "common/generators.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "runtime/timer_wheel.h"
 #include "test_util.h"
 
 namespace regla {
@@ -385,6 +384,106 @@ TEST(RuntimeQueue, PreferredBatchStaysWithinFlushCap) {
   }
 }
 
+// A partial size flush takes the deadline-carrying request and leaves one
+// behind: the remainder must wait for its own coalescing window, not flush
+// early by the deadline of a request that already left in the batch.
+TEST(RuntimeQueue, RemainderAfterSizeFlushKeepsItsOwnDeadline) {
+  auto opt = queue_options();
+  opt.max_flush_problems = 4;  // the size target clamps to 4
+  opt.max_batch_delay = 400ms;
+  Runtime rt(opt);
+  runtime::SubmitOptions soon;
+  soon.deadline = 50ms;
+  auto a = rt.submit(Op::qr, marked_batch(2, 8, 1.0f), {}, soon);
+  // 2 + 3 > 4: the size flush takes A alone and B stays queued.
+  auto b = rt.submit(Op::qr, marked_batch(3, 8, 2.0f));
+  ASSERT_EQ(b.wait_for(5s), std::future_status::ready);
+  const Report r = b.get();
+  EXPECT_EQ(r.flush, FlushReason::deadline);
+  EXPECT_EQ(r.coalesced_requests, 1);
+  EXPECT_EQ(r.coalesced_problems, 3);
+  EXPECT_GE(r.queue_seconds, 0.400);
+  a.wait();
+  rt.shutdown();
+  EXPECT_EQ(rt.stats().flushed(FlushReason::size), 1u);
+}
+
+// Two signatures queued 60 ms apart flush each at its own time — neither is
+// dragged along by the other's deadline — and a request arriving after a
+// long idle stretch still gets the full window.
+TEST(RuntimeQueue, DeadlineFlushesEachQueueAtItsOwnTime) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 150ms;
+  Runtime rt(opt);
+  std::vector<std::future<Report>> futs;
+  futs.push_back(rt.submit(Op::qr, marked_batch(2, 8, 1.0f)));
+  std::this_thread::sleep_for(60ms);
+  futs.push_back(rt.submit(Op::qr, marked_batch(2, 12, 2.0f)));
+  std::this_thread::sleep_for(500ms);
+  futs.push_back(rt.submit(Op::qr, marked_batch(2, 8, 3.0f)));
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(5s), std::future_status::ready) << i;
+    const Report r = futs[i].get();
+    EXPECT_EQ(r.flush, FlushReason::deadline) << i;
+    EXPECT_EQ(r.coalesced_requests, 1) << i;
+    EXPECT_GE(r.queue_seconds, 0.150) << i;
+    EXPECT_FLOAT_EQ(r.a.at(1, 0, 0), 2.0f * float(i + 1)) << i;
+  }
+}
+
+// Submitters spread over eight signatures with a 1 ms window while another
+// thread keeps calling flush(): size, deadline and manual drains race on
+// the same queues (the race gate runs this under TSan). Every future
+// resolves once, with its own payload doubled exactly once.
+TEST(RuntimeQueue, ManySignaturesResolveOnceUnderConcurrentFlush) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 1ms;
+  opt.max_flush_problems = 8;  // size flushes happen too
+  Runtime rt(opt);
+  constexpr int kSubmitters = 4, kEach = 48, kSignatures = 8;
+  std::atomic<bool> done{false};
+  std::thread flusher([&] {
+    while (!done.load()) {
+      rt.flush();
+      std::this_thread::sleep_for(300us);
+    }
+  });
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<Report>> futs;
+      for (int i = 0; i < kEach; ++i) {
+        futs.push_back(rt.submit(
+            Op::qr, marked_batch(1 + i % 3, 4 + i % kSignatures,
+                                 float(t * kEach + i + 1))));
+        // Pauses longer than the window, so deadline drains race too.
+        if (i % 8 == 7) std::this_thread::sleep_for(1500us);
+      }
+      for (int i = 0; i < kEach; ++i) {
+        bool ok = false;
+        try {
+          const Report r = futs[i].get();
+          const float want = 2.0f * float(t * kEach + i + 1);
+          ok = r.a.count() == 1 + i % 3 && r.a.rows() == 4 + i % kSignatures;
+          for (std::size_t j = 0; j < r.a.size() && ok; ++j)
+            ok = r.a.data()[j] == want;
+        } catch (...) {
+        }
+        if (!ok) wrong.fetch_add(1);
+      }
+    });
+  for (auto& t : submitters) t.join();
+  done = true;
+  flusher.join();
+  rt.shutdown();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto st = rt.stats();
+  EXPECT_EQ(st.requests, static_cast<std::uint64_t>(kSubmitters * kEach));
+  EXPECT_EQ(st.fulfilled, st.requests);
+  EXPECT_EQ(st.failed_requests, 0u);
+}
+
 // --- Real kernels ----------------------------------------------------------
 
 // Coalesced solves through the real simulated kernels must produce the same
@@ -439,145 +538,6 @@ TEST(RuntimeSolve, ComplexQRCoalesces) {
   for (int i = 0; i < r1.ca.count() * r1.ca.stride() && !changed; ++i)
     changed = r1.ca.data()[i] != a1_0.data()[i];
   EXPECT_TRUE(changed);
-}
-
-// --- Timer wheel -----------------------------------------------------------
-
-TEST(TimerWheel, FiresInDeadlineOrderAcrossLaps) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 8);  // tiny wheel: laps happen fast
-  wheel.arm(1, t0 + 250us);
-  wheel.arm(2, t0 + 50us);
-  wheel.arm(3, t0 + 3ms);  // several laps out
-  EXPECT_EQ(wheel.next_deadline(), t0 + 50us);
-
-  auto fired = wheel.advance(t0 + 100us);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 250us);
-
-  fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-
-  fired = wheel.advance(t0 + 5ms);  // the lapped entry fires on its lap
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, CancelledTimersNeverFire) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 200us);
-  wheel.arm(2, t0 + 200us);
-  wheel.cancel(1);
-  EXPECT_EQ(wheel.armed(), 1u);
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Advancing over a long idle stretch is one bounded pass over the slot
-// array, not a walk of every elapsed tick — and deadlines armed across the
-// gap still fire exactly on time, early advances included.
-TEST(TimerWheel, IdleGapAdvanceKeepsDeadlines) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  EXPECT_TRUE(wheel.advance(t0 + 1ms).empty());  // idle, nothing armed
-  wheel.arm(1, t0 + 60s);  // ~600k ticks past the cursor
-  wheel.arm(2, t0 + 2ms);  // much earlier — must not be delayed by #1
-  auto fired = wheel.advance(t0 + 5ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 60s);
-  fired = wheel.advance(t0 + 60s);  // spans minutes in one call
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Cancelling the last live timer purges the lazily-cancelled leftovers, so
-// an idle wheel carries no stale state into the next arm/advance cycle.
-TEST(TimerWheel, PurgeAfterLastCancelKeepsWheelConsistent) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 200us);
-  wheel.arm(2, t0 + 47s);
-  wheel.cancel(1);
-  wheel.cancel(2);
-  EXPECT_TRUE(wheel.empty());
-  EXPECT_TRUE(wheel.advance(t0 + 1ms).empty());
-  wheel.arm(3, t0 + 50s);
-  auto fired = wheel.advance(t0 + 50s);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Regression: cancel then re-arm of the same id while OTHER timers stay
-// live, so the empty-wheel purge never runs. arm() used to leave the id in
-// the cancelled set; advance()'s dead-on-sight check then consumed the
-// cancellation against the NEW entry and the re-armed timer never fired
-// (and the stale entry could fire on a later lap instead). arm() now
-// consumes the cancellation and drops the stale entry eagerly.
-TEST(TimerWheel, ReArmAfterCancelFiresExactlyOnce) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(9, t0 + 10s);  // keeps the wheel non-empty: no purge below
-  wheel.arm(1, t0 + 300us);
-  wheel.cancel(1);
-  wheel.arm(1, t0 + 500us);  // re-arm the same id before any advance
-  EXPECT_EQ(wheel.armed(), 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 500us);
-  // The cancelled incarnation's deadline must not fire...
-  EXPECT_TRUE(wheel.advance(t0 + 400us).empty());
-  // ...and the re-armed one fires exactly once, on its own deadline.
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_TRUE(wheel.advance(t0 + 5ms).empty());
-  fired = wheel.advance(t0 + 10s);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 9u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Same regression, with the stale and fresh entries hashing to the same
-// slot (identical deadline): the eager removal must strip exactly the stale
-// entry, not the one just armed.
-TEST(TimerWheel, ReArmSameDeadlineSameSlot) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(9, t0 + 10s);
-  wheel.arm(1, t0 + 300us);
-  wheel.cancel(1);
-  wheel.arm(1, t0 + 300us);
-  EXPECT_EQ(wheel.armed(), 2u);
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_EQ(wheel.armed(), 1u);
-}
-
-TEST(TimerWheel, SameGranuleDeadlineWaitsForItsMoment) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 150us);
-  // Advance into the deadline's granule but before the deadline itself.
-  EXPECT_TRUE(wheel.advance(t0 + 120us).empty());
-  // The cursor stayed on the granule: the entry fires once due.
-  auto fired = wheel.advance(t0 + 150us);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
 }
 
 }  // namespace
