@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                    std::to_string(rep1.plan.threads),
                planned_gf, rep1.plan.predicted_cycles / 1e6,
                rep1.chip_cycles / 1e6, 100.0 * err,
-               std::string(rep2.cache_hit ? "hit" : "MISS")});
+               std::string(rep2.plan.from_cache ? "hit" : "MISS")});
   }
 
   bench::emit(t, "planner",

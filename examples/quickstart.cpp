@@ -62,10 +62,11 @@ int main() {
   BatchF batch2(count, n, n);
   fill_uniform(batch2, 43);
   const auto repeat = solver.qr(batch2);
+  const auto planner_stats = solver.planner().stats();
   std::printf("repeat:     plan %s (planner: %llu hit / %llu miss)\n",
-              repeat.cache_hit ? "cached" : "rebuilt",
-              static_cast<unsigned long long>(repeat.planner_hits),
-              static_cast<unsigned long long>(repeat.planner_misses));
+              repeat.plan.from_cache ? "cached" : "rebuilt",
+              static_cast<unsigned long long>(planner_stats.cache_hits),
+              static_cast<unsigned long long>(planner_stats.cache_misses));
 
   // Solving systems works the same way; pick the method via SolveOptions.
   BatchF a(1000, 24, 24), b(1000, 24, 1);

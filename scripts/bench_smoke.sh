@@ -15,6 +15,11 @@
 # pr/s is stable across runners; the deadline-triggered low-rate tiers stay
 # warn-only. scripts/check_alloc_budget.py then enforces the committed
 # steady-state allocation budget over the alloc-audit act's CSV.
+#
+# Last, the serving benchmark (hostbench/, its own CMake project over src/)
+# is built and its unit tests run (`python3 hostbench/run.py --test`, build
+# tree under .bench_build/hostbench). No other gate compiles it, so a change
+# to a header it includes that breaks its build fails here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,5 +119,9 @@ python3 scripts/check_bench_regression.py \
 python3 scripts/check_alloc_budget.py \
   --csv "$dir/bench/bench_results/smoke/alloc_audit.csv" \
   --budget bench_results/alloc_budget.txt
+
+# The serving benchmark builds against the current src/ and its tests pass.
+echo "== hostbench build + unit tests"
+python3 hostbench/run.py --test
 
 echo "bench smoke: all binaries ran clean"

@@ -24,7 +24,6 @@ struct Fleet::Member {
   int id = -1;
   std::string name;
   simt::DeviceConfig config;
-  std::uint64_t fingerprint = 0;
   DeviceState state = DeviceState::active;
   std::atomic<bool> killed{false};
 
@@ -92,8 +91,7 @@ Fleet::Fleet(Options opt) : opt_(std::move(opt)) {
 
 Fleet::~Fleet() = default;
 
-std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
-                                      std::uint64_t exclude,
+std::optional<Lease> Fleet::try_route(std::uint64_t exclude,
                                       bool* any_eligible) {
   const auto now = Clock::now();
   *any_eligible = false;
@@ -110,13 +108,12 @@ std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
     c.device = m.id;
     c.load = static_cast<double>(m.inflight) /
              std::max<std::size_t>(1, m.streams.size());
-    c.warm = planner_->cache().warm(desc, m.fingerprint);
     c.circuit_open = m.circuit_open(now);
     c.last_routed = m.last_routed;
     candidates.push_back(c);
     owners.push_back(&m);
   }
-  const int idx = pick(opt_.router, candidates);
+  const int idx = pick(candidates);
   if (idx < 0) return std::nullopt;
   Member& m = *owners[idx];
   Lease lease;
@@ -138,13 +135,12 @@ std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
   return lease;
 }
 
-std::optional<Lease> Fleet::acquire(const planner::ProblemDesc& desc,
-                                    std::uint64_t exclude) {
+std::optional<Lease> Fleet::acquire(std::uint64_t exclude) {
   obs::Span span("fleet.route", "fleet");
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     bool any_eligible = false;
-    auto lease = try_route(desc, exclude, &any_eligible);
+    auto lease = try_route(exclude, &any_eligible);
     if (lease) return lease;
     if (!any_eligible) {
       ++stats_.no_device;
@@ -225,8 +221,7 @@ int Fleet::add_device(DeviceSpec spec) {
   std::vector<std::unique_ptr<Stream>> built;
   built.reserve(streams);
   for (int i = 0; i < streams; ++i)
-    built.push_back(
-        std::make_unique<Stream>(spec.config, planner_, opt_.replay));
+    built.push_back(std::make_unique<Stream>(spec.config, planner_));
   int id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -236,7 +231,6 @@ int Fleet::add_device(DeviceSpec spec) {
     m->name = spec.name.empty() ? "dev" + std::to_string(id)
                                 : std::move(spec.name);
     m->config = spec.config;
-    m->fingerprint = planner::Planner::config_fingerprint(spec.config);
     m->streams = std::move(built);
     for (auto& s : m->streams) m->free_streams.push_back(s.get());
     stamp_member_gauges(*m);
@@ -324,7 +318,6 @@ DeviceStats Fleet::stats_of(const Member& m) const {
   s.reroutes_away = m.reroutes_away;
   s.circuit_opens = m.circuit_opens;
   s.device_seconds = m.device_seconds;
-  s.fingerprint = m.fingerprint;
   return s;
 }
 

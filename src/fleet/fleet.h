@@ -5,10 +5,8 @@
 // a quadro6000 next to a degraded or hostile one), each with one or more
 // worker streams (a simt::Device + Solver pair; a stream executes one
 // coalesced batch at a time). Placement goes through the router policy in
-// fleet/router.h: per-device queue depth first, plan-cache affinity second
-// (a device whose config fingerprint already holds a plan for the signature
-// skips planning — see PlanCache::warm), circuit-breaker state as a veto,
-// round-robin on ties.
+// fleet/router.h: circuit-breaker state as a veto, per-device queue depth,
+// round-robin on ties. Routing reads no planner state.
 //
 // Lifecycle is live: devices can be drained (stop receiving batches,
 // in-flight work completes), removed (drain + wait, then the streams are
@@ -29,8 +27,7 @@
 // Locking: one fleet mutex guards membership, stream free-lists, breaker
 // state, and stats; acquire() blocks on the fleet cv while every eligible
 // device is busy and returns nullopt when none is eligible at all (all
-// drained/removed/excluded). The plan cache's own mutex nests inside the
-// fleet mutex (fleet -> cache, never the reverse).
+// drained/removed/excluded). No other lock is taken under it.
 #pragma once
 
 #include <atomic>
@@ -59,13 +56,13 @@ using Clock = std::chrono::steady_clock;
 /// sibling leaves free.
 class Stream {
  public:
-  Stream(const simt::DeviceConfig& cfg, std::shared_ptr<planner::Planner> p,
-         bool replay = true)
+  Stream(const simt::DeviceConfig& cfg, std::shared_ptr<planner::Planner> p)
       : dev_(cfg), solver_(dev_, std::move(p)) {
     // Serving streams run data-independent ops over coalesced batches — the
-    // replay cache's home turf. Direct Device users (paper-figure benches)
-    // stay on full simulation; REGLA_REPLAY=0 force-disables it here too.
-    dev_.set_replay(replay);
+    // replay cache's home turf (simt/replay.h). Direct Device users
+    // (paper-figure benches) stay on full simulation; REGLA_REPLAY=0
+    // force-disables it here too.
+    dev_.set_replay(true);
   }
 
   simt::Device& device() { return dev_; }
@@ -112,7 +109,6 @@ struct DeviceStats {
   std::uint64_t reroutes_away = 0;  ///< batches this device failed to a sibling
   std::uint64_t circuit_opens = 0;
   double device_seconds = 0;   ///< simulated seconds this device was busy
-  std::uint64_t fingerprint = 0;  ///< planner config fingerprint (affinity key)
 
   /// The paper's throughput metric for this device alone.
   double device_pps() const {
@@ -170,8 +166,6 @@ struct FleetOptions {
   /// At least one. Every member's streams simulate on the one shared host
   /// pool (see Stream), so the fleet has no host-thread knob.
   std::vector<DeviceSpec> devices;
-  /// Placement policy knobs (fleet/router.h).
-  RouterOptions router;
   /// Exhausted-retry episodes that open a device's circuit breaker (0
   /// disables the breaker), and how long it stays open.
   int circuit_break_after = 2;
@@ -179,11 +173,6 @@ struct FleetOptions {
   /// The shared planner (and plan cache) every stream solves through;
   /// created fresh when null.
   std::shared_ptr<planner::Planner> planner;
-  /// Replay memoization on every stream device (simt/replay.h): simulate
-  /// representative blocks per launch shape, replay the cycle accounting
-  /// for the rest. Timing-exact for the data-independent ops the runtime
-  /// serves; set false to force full simulation of every block.
-  bool replay = true;
 };
 
 /// The fleet: N devices, a router, live membership. Thread-safe throughout.
@@ -197,15 +186,14 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   // --- routing -----------------------------------------------------------
-  /// Lease a stream on the best eligible device for `desc` (router policy:
-  /// queue depth, plan-cache affinity, circuit state, round-robin).
-  /// `exclude` is a bitmask of device ids to skip — the re-route path's
-  /// "anywhere but where it just failed" (devices past id 63 are never
-  /// excludable; the mask is a re-route aid, not a partition). Blocks while
-  /// every eligible device is busy; returns nullopt when no device is
-  /// eligible at all (all draining/removed/excluded).
-  std::optional<Lease> acquire(const planner::ProblemDesc& desc,
-                               std::uint64_t exclude = 0);
+  /// Lease a stream on the best eligible device (router policy: circuit
+  /// state, queue depth, round-robin). `exclude` is a bitmask of device ids
+  /// to skip — the re-route path's "anywhere but where it just failed"
+  /// (devices past id 63 are never excludable; the mask is a re-route aid,
+  /// not a partition). Blocks while every eligible device is busy; returns
+  /// nullopt when no device is eligible at all (all
+  /// draining/removed/excluded).
+  std::optional<Lease> acquire(std::uint64_t exclude = 0);
 
   /// Execution feedback: a batch of `problems` completed on the leased
   /// device in `device_seconds` of simulated time. Closes the device's
@@ -263,8 +251,7 @@ class Fleet {
   struct Member;
 
   /// Requires mu_ held. Builds the router snapshot and leases on success.
-  std::optional<Lease> try_route(const planner::ProblemDesc& desc,
-                                 std::uint64_t exclude, bool* any_eligible);
+  std::optional<Lease> try_route(std::uint64_t exclude, bool* any_eligible);
   void release(Stream* stream, int device);  ///< Lease's return path
   Member& member_checked(int id);
   const Member& member_checked(int id) const;

@@ -2,29 +2,19 @@
 
 namespace regla::fleet {
 
-int pick(const RouterOptions& opt,
-         const std::vector<RouteCandidate>& candidates) {
-  int best = -1;
-  double best_score = 0;
-  bool best_open = false;
-  std::uint64_t best_stamp = 0;
-  for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {
+int pick(const std::vector<RouteCandidate>& candidates) {
+  if (candidates.empty()) return -1;
+  int best = 0;
+  for (int i = 1; i < static_cast<int>(candidates.size()); ++i) {
     const RouteCandidate& c = candidates[i];
-    double score = c.load;
-    if (c.warm) score -= opt.affinity_bonus;
+    const RouteCandidate& b = candidates[best];
     const bool better =
-        best < 0 ||
         // A closed circuit always beats an open one, whatever the load.
-        (!c.circuit_open && best_open) ||
-        (c.circuit_open == best_open &&
-         (score < best_score ||
-          (score == best_score && c.last_routed < best_stamp)));
-    if (better) {
-      best = i;
-      best_score = score;
-      best_open = c.circuit_open;
-      best_stamp = c.last_routed;
-    }
+        (!c.circuit_open && b.circuit_open) ||
+        (c.circuit_open == b.circuit_open &&
+         (c.load < b.load ||
+          (c.load == b.load && c.last_routed < b.last_routed)));
+    if (better) best = i;
   }
   return best;
 }

@@ -233,7 +233,6 @@ SolveReport from_gpu(const planner::Plan& plan, const core::GpuBatchResult& r) {
   rep.counters = r.launch.totals;
   rep.blocks_per_sm = r.launch.blocks_per_sm;
   rep.waves = r.launch.waves;
-  rep.cache_hit = plan.from_cache;
   return rep;
 }
 
@@ -244,7 +243,6 @@ SolveReport from_tiled(const planner::Plan& plan, const core::TiledResult& t) {
   rep.chip_cycles = t.chip_cycles;
   rep.nominal_flops = t.nominal_flops;
   rep.waves = t.steps;
-  rep.cache_hit = plan.from_cache;
   return rep;
 }
 

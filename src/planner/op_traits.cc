@@ -38,7 +38,6 @@ OpTraits make_lu() {
   t.square_only = true;
   t.has_per_thread = true;
   t.block_alg = model::BlockAlg::lu;
-  t.fill = FillKind::diag_dominant;
   t.data_independent = true;  // unpivoted elimination (the pivoting kernel is
                               // core-API only and never dispatched here)
   t.raggable = true;
@@ -52,7 +51,6 @@ OpTraits make_solve_qr() {
   t.rhs = RhsShape::n_by_1;
   t.square_only = true;
   t.extra_cols = 1;
-  t.fill = FillKind::diag_dominant;
   t.data_independent = true;
   t.raggable = true;
   t.flops = solve_qr_op_flops;
@@ -67,7 +65,6 @@ OpTraits make_solve_gj() {
   t.extra_cols = 1;
   t.has_per_thread = true;
   t.block_alg = model::BlockAlg::lu;
-  t.fill = FillKind::diag_dominant;
   t.data_independent = true;
   t.raggable = true;
   t.flops = solve_gj_op_flops;
@@ -92,7 +89,6 @@ OpTraits make_cholesky() {
   t.span = "solver.cholesky";
   t.square_only = true;
   t.block_alg = model::BlockAlg::lu;  // elimination-shaped work, no reflectors
-  t.fill = FillKind::spd;
   t.data_independent = true;
   t.raggable = true;
   t.flops = cholesky_op_flops;
@@ -106,7 +102,6 @@ OpTraits make_trsm() {
   t.square_only = true;
   t.extra_cols = 1;
   t.block_alg = model::BlockAlg::lu;
-  t.fill = FillKind::diag_dominant;  // diag-dominant lower factor: no breakdown
   t.data_independent = true;
   t.raggable = true;
   t.flops = trsm_op_flops;

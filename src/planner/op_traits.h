@@ -1,8 +1,8 @@
 // Per-Op metadata: the single table that tells the planner, the Solver, the
 // Runtime, and the op registry what each batched operation looks like —
 // shape rules, which kernels exist, which analytical model scores the
-// per-block mapping, what synthetic data exercises it, and the paper-§III
-// FLOP formula GFLOP/s is reported against.
+// per-block mapping, and the paper-§III FLOP formula GFLOP/s is reported
+// against.
 //
 // Adding an op = one row here (shape + model metadata) plus one registration
 // TU under src/ops/ (the kernels). Nothing else in planner/runtime/solver
@@ -20,11 +20,6 @@ enum class RhsShape : std::uint8_t {
   n_by_1,  ///< square solves: one n-vector per problem
   m_by_1,  ///< least squares: one m-vector per problem
 };
-
-/// Synthetic input class that exercises the op without breakdown (the
-/// paper's methodology: uniform for QR/LS, diagonally dominant wherever an
-/// unpivoted elimination must not hit a zero pivot, SPD for Cholesky).
-enum class FillKind : std::uint8_t { uniform, diag_dominant, spd };
 
 struct OpTraits {
   RhsShape rhs = RhsShape::none;
@@ -50,8 +45,6 @@ struct OpTraits {
   /// Which Table VI per-block model scores this op's block mapping (scaled
   /// by the flops ratio).
   model::BlockAlg block_alg = model::BlockAlg::qr;
-  FillKind fill = FillKind::uniform;
-  FillKind rhs_fill = FillKind::uniform;
   /// The op admits ragged coalescing: a smaller m x n problem embedded in
   /// the top-left of a padded M x N tile — zeros elsewhere, ones on the
   /// trailing diagonal A'[m+k][n+k] (k < N-n) — factors/solves to exactly

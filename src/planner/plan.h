@@ -3,9 +3,7 @@
 // A ProblemDesc names *what* is being solved — (op, m, n, batch, dtype) — and
 // a Plan says *how* to map it onto the chip: the paper's approach (§IV
 // per-thread, §V per-block, §VII tiled), the per-block thread count and
-// layout, and the fast-math mode, plus the analytical model's cycle estimate
-// for the whole batch and, when autotuning ran, the measured cycles next to
-// it (the paper's Table IV/V predicted-vs-measured validation, live).
+// layout, plus the analytical model's cycle estimate for the whole batch.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +69,6 @@ struct Plan {
   /// Threads per block for per-block/tiled launches (64 or 256); the fixed
   /// bundle size for per-thread launches.
   int threads = 0;
-  /// Division/sqrt mode the plan was scored under (always cfg.fast_math:
-  /// the fingerprint keys plans by it, and launches run under the device's
-  /// own setting).
-  bool fast_math = true;
   /// Problems resident on the chip in one launch wave under this mapping
   /// (per-thread: resident threads; per-block: resident blocks; tiled: the
   /// tightest step). This is the model's batch quantum — a device batch of
@@ -85,12 +79,6 @@ struct Plan {
   // --- Model verdict (whole batch, chip cycles on the configured device) --
   double predicted_cycles = 0;
   double predicted_gflops = 0;
-
-  // --- Autotune verdict (sample batch), 0/false when autotune did not run --
-  double measured_cycles = 0;          ///< best candidate's measured sample
-  double predicted_sample_cycles = 0;  ///< model's estimate for that sample
-  double model_rel_error = 0;          ///< |predicted - measured| / measured
-  bool autotuned = false;
 
   /// True on plans served from the cache (set per returned copy).
   bool from_cache = false;

@@ -19,29 +19,6 @@ std::size_t PlanCache::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-std::size_t PlanCache::WarmKeyHash::operator()(const WarmKey& k) const {
-  std::uint64_t h = k.fingerprint;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(k.op));
-  mix(static_cast<std::uint64_t>(k.dtype));
-  mix(static_cast<std::uint64_t>(k.m));
-  mix(static_cast<std::uint64_t>(k.n));
-  return static_cast<std::size_t>(h);
-}
-
-PlanCache::WarmKey PlanCache::warm_key(const Key& key) {
-  return WarmKey{key.desc.op, key.desc.m, key.desc.n, key.desc.dtype,
-                 key.fingerprint};
-}
-
-bool PlanCache::warm(const ProblemDesc& desc, std::uint64_t fingerprint) const {
-  const WarmKey k{desc.op, desc.m, desc.n, desc.dtype, fingerprint};
-  std::lock_guard<std::mutex> lock(mutex_);
-  return warm_.find(k) != warm_.end();
-}
-
 std::optional<Plan> PlanCache::find(const Key& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
@@ -67,12 +44,8 @@ void PlanCache::insert(const Key& key, const Plan& plan) {
   }
   lru_.push_front(Entry{key, plan});
   index_[key] = lru_.begin();
-  ++warm_[warm_key(key)];
   while (index_.size() > capacity_) {
-    const Key& victim = lru_.back().key;
-    const auto wit = warm_.find(warm_key(victim));
-    if (wit != warm_.end() && --wit->second <= 0) warm_.erase(wit);
-    index_.erase(victim);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -92,7 +65,6 @@ void PlanCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
-  warm_.clear();
   stats_ = PlanCacheStats{};
 }
 

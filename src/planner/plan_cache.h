@@ -49,14 +49,6 @@ class PlanCache {
   /// Insert or overwrite; evicts least-recently-used entries past capacity.
   void insert(const Key& key, const Plan& plan);
 
-  /// Affinity probe for the fleet router: is at least one plan cached for
-  /// this problem *shape* — (op, m, n, dtype), any batch size — on a device
-  /// with this config fingerprint? A device that has planned a signature
-  /// holds its compiled knowledge warm, so the router prefers it. Unlike
-  /// find(), this neither refreshes LRU positions nor counts a hit or miss:
-  /// routing probes must not perturb cache behavior.
-  bool warm(const ProblemDesc& desc, std::uint64_t fingerprint) const;
-
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   PlanCacheStats stats() const;
@@ -72,27 +64,11 @@ class PlanCache {
     Key key;
     Plan plan;
   };
-  /// The affinity index key: the cache key with the batch size erased.
-  struct WarmKey {
-    Op op{};
-    int m = 0;
-    int n = 0;
-    Dtype dtype{};
-    std::uint64_t fingerprint = 0;
-    bool operator==(const WarmKey&) const = default;
-  };
-  struct WarmKeyHash {
-    std::size_t operator()(const WarmKey& k) const;
-  };
-  static WarmKey warm_key(const Key& key);
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  /// Reference-counted shape index over index_: how many cached plans cover
-  /// each (op, m, n, dtype, fingerprint) — the warm() probe in O(1).
-  std::unordered_map<WarmKey, int, WarmKeyHash> warm_;
   PlanCacheStats stats_;
 };
 

@@ -84,7 +84,6 @@ std::optional<Plan> score_per_thread(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::per_thread;
   p.threads = core::kPerThreadBlockSize;
-  p.fast_math = cfg.fast_math;
   p.predicted_cycles = seconds * cfg.clock_ghz * 1e9;
   p.predicted_gflops = flops * d.batch / seconds / 1e9;
   // One problem per thread: the wave quantum is the resident thread count.
@@ -146,7 +145,6 @@ std::optional<Plan> score_per_block(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::per_block;
   p.threads = threads;
-  p.fast_math = cfg.fast_math;
   p.concurrent = concurrent;
   p.predicted_cycles = batch_cycles(cycles_block, d.batch, concurrent);
   p.predicted_gflops =
@@ -197,7 +195,6 @@ std::optional<Plan> score_tiled(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::tiled;
   p.threads = threads;
-  p.fast_math = cfg.fast_math;
   p.concurrent = std::max(1, min_concurrent);
   p.predicted_cycles = cycles;
   p.predicted_gflops = op_flops * d.batch / cycles * cfg.clock_ghz;
@@ -254,7 +251,7 @@ void enumerate(const regla::simt::DeviceConfig& cfg, const ProblemDesc& d,
 
 }  // namespace
 
-Planner::Planner(Options opt) : opt_(opt), cache_(opt.cache_capacity) {}
+Planner::Planner(std::size_t cache_capacity) : cache_(cache_capacity) {}
 
 std::uint64_t Planner::config_fingerprint(const regla::simt::DeviceConfig& cfg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -300,100 +297,39 @@ std::vector<Plan> Planner::candidates(const regla::simt::DeviceConfig& cfg,
   return out;
 }
 
-Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
-                         const ProblemDesc& desc) {
-  std::vector<Plan> cands = candidates(cfg, desc);
+Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
+                   const ProblemDesc& desc) {
+  const PlanCache::Key key{desc, config_fingerprint(cfg)};
+  if (std::optional<Plan> hit = cache_.find(key)) return *hit;
+  // Build outside the cache lock. Two threads racing on the same fresh
+  // signature both build; plans are deterministic functions of (cfg, desc),
+  // so whichever insert lands last overwrites with an identical value.
+  obs::Span span("planner.plan", "planner");
+  const std::vector<Plan> cands = candidates(cfg, desc);
   REGLA_CHECK_MSG(!cands.empty(),
                   "no kernel can run " << to_string(desc.op) << " "
                                        << to_string(desc.dtype) << " " << desc.m
                                        << "x" << desc.n
                                        << " (problems past one thread block "
                                           "support only QR/least-squares)");
-  Plan best = cands.front();
-
-  MeasureFn measure;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    measure = measure_;
-  }
-  if (opt_.autotune && measure) {
-    obs::Span span("planner.autotune", "planner");
-    ProblemDesc sample = desc;
-    sample.batch = std::min(desc.batch, opt_.autotune_sample_batch);
-    const int k =
-        std::min<int>(opt_.autotune_top_k, static_cast<int>(cands.size()));
-    double best_measured = -1;
-    int runs = 0;
-    for (int i = 0; i < k; ++i) {
-      const double measured = measure(sample, cands[i]);
-      if (measured < 0) continue;
-      ++runs;
-      // The model's estimate for the same reduced sample, for the error stat.
-      std::vector<Plan> sample_cands = candidates(cfg, sample);
-      double predicted_sample = 0;
-      for (const Plan& sc : sample_cands)
-        if (sc.approach == cands[i].approach && sc.threads == cands[i].threads)
-          predicted_sample = sc.predicted_cycles;
-      if (best_measured < 0 || measured < best_measured) {
-        best_measured = measured;
-        best = cands[i];
-        best.measured_cycles = measured;
-        best.predicted_sample_cycles = predicted_sample;
-        best.model_rel_error =
-            measured > 0 ? std::abs(predicted_sample - measured) / measured : 0;
-        best.autotuned = true;
-      }
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.autotune_runs += runs;
-    if (best.autotuned) {
-      stats_.model_error_sum += best.model_rel_error;
-      ++stats_.model_error_count;
-    }
-  }
-  return best;
-}
-
-Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
-                   const ProblemDesc& desc) {
-  const PlanCache::Key key{desc, config_fingerprint(cfg)};
-  if (std::optional<Plan> hit = cache_.find(key)) return *hit;
-  // Build outside any lock: autotune runs real (simulated) launches. Two
-  // threads racing on the same fresh signature both build; plans are
-  // deterministic functions of (cfg, desc), so whichever insert lands last
-  // overwrites with an identical value.
-  obs::Span span("planner.plan", "planner");
-  Plan built = build_plan(cfg, desc);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.plans_built;
-  }
-  cache_.insert(key, built);
-  return built;
-}
-
-void Planner::set_measure_fn(MeasureFn fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  measure_ = std::move(fn);
+  ++plans_built_;
+  cache_.insert(key, cands.front());
+  return cands.front();
 }
 
 PlannerStats Planner::stats() const {
-  PlannerStats s;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s = stats_;
-  }
   const PlanCacheStats c = cache_.stats();
+  PlannerStats s;
   s.cache_hits = c.hits;
   s.cache_misses = c.misses;
+  s.plans_built = plans_built_;
   s.evictions = c.evictions;
   return s;
 }
 
 void Planner::clear() {
   cache_.clear();
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = PlannerStats{};
+  plans_built_ = 0;
 }
 
 }  // namespace regla::planner

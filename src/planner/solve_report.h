@@ -4,7 +4,6 @@
 // can share it without the registry pulling in the whole planner facade.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "planner/plan.h"
@@ -17,7 +16,9 @@ namespace regla {
 /// and which problems failed. Replaces LaunchResult + GpuBatchResult for
 /// callers of the Solver API.
 struct SolveReport {
-  planner::Plan plan;          ///< approach, threads, layout, model verdict
+  /// What ran: approach, threads, layout, the model's verdict, and
+  /// from_cache (this call's plan came from the plan cache).
+  planner::Plan plan;
   double seconds = 0;          ///< simulated wall time on the device
   double chip_cycles = 0;
   double nominal_flops = 0;    ///< textbook operation count (paper §III)
@@ -28,9 +29,6 @@ struct SolveReport {
   /// pivot / non-SPD input). Empty when the operation has no failure mode
   /// (QR, LS).
   std::vector<int> not_solved;
-  bool cache_hit = false;      ///< this call's plan came from the plan cache
-  std::uint64_t planner_hits = 0;    ///< cumulative, this Solver's planner
-  std::uint64_t planner_misses = 0;
 
   core::Approach approach() const { return plan.approach; }
   double gflops() const {

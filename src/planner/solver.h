@@ -3,23 +3,20 @@
 //   regla::simt::Device dev;
 //   regla::Solver solver(dev);
 //   auto report = solver.qr(batch);          // planned, cached, dispatched
-//   report.gflops(); report.plan.approach; report.cache_hit;
+//   report.gflops(); report.plan.approach; report.plan.from_cache;
 //
 // A Solver owns a model-guided Planner and its plan cache: the first solve
-// of a shape enumerates and scores candidate mappings (optionally autotuning
-// the top few on the device), every repeat is an O(1) cache hit straight to
-// dispatch. Execution goes through the op registry (ops/registry.h): the
-// Solver plans, the registry's (op, dtype, backend) entry runs the kernels.
+// of a shape enumerates and scores candidate mappings, every repeat is an
+// O(1) cache hit straight to dispatch. Execution goes through the op
+// registry (ops/registry.h): the Solver plans, the registry's (op, dtype,
+// backend) entry runs the kernels.
 // The typed methods below (qr/lu/solve/...) are one-line conveniences over
 // the generic run(); any registered op — including ones added after this
 // header was written — is reachable via run(op, call).
 //
-// Two options structs, two scopes:
-//   - regla::SolverConfig — constructor-level: how THIS Solver plans
-//     (planner options, autotune). Fixed for the Solver's lifetime.
-//   - regla::SolveOptions (= core::SolveOptions) — request-level: per-call
-//     knobs (solve method, per-block thread override, register layout),
-//     carried to the kernels inside ops::Call.
+// Per-call knobs (solve method, per-block thread override, register layout)
+// are regla::SolveOptions (= core::SolveOptions), carried to the kernels
+// inside ops::Call; a Solver itself has no options.
 //
 // Benches, the STAP pipeline and the serving runtime's worker streams all
 // solve through this facade.
@@ -38,30 +35,18 @@ namespace regla {
 /// core/batched.h for the fields: method, threads, layout).
 using SolveOptions = core::SolveOptions;
 
-/// Constructor-level configuration: how a Solver plans. (Per-call knobs are
-/// SolveOptions, passed to each solve instead.)
-struct SolverConfig {
-  planner::Planner::Options planner;
-};
-
 /// The planner-backed facade over the op registry. Holds a reference to the
 /// Device; one Solver per Device (or several — plans are keyed by device
 /// configuration, so sharing is safe but caches are per-Solver).
 class Solver {
  public:
-  using Options = SolverConfig;
-
-  explicit Solver(simt::Device& dev, Options opt = {});
+  explicit Solver(simt::Device& dev);
 
   /// Share a planner (and its thread-safe plan cache) with other Solvers:
   /// the serving runtime gives every worker stream its own Device + Solver
   /// but one planner, so a signature planned on any stream is a cache hit on
-  /// all of them. `opt.planner` is ignored in this form — the shared
-  /// planner's own options govern. Autotune on a shared planner is
-  /// unsupported (the measure callback would race across devices), so this
-  /// form never installs one.
-  Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared,
-         Options opt = {});
+  /// all of them.
+  Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared);
 
   /// The generic entry point every typed method funnels into: validate the
   /// call against the op's traits, plan (cached), dispatch to the registered
@@ -102,11 +87,7 @@ class Solver {
   simt::Device& device() { return dev_; }
 
  private:
-  /// Measured chip cycles of one candidate on synthetic data (autotune).
-  double measure(const planner::ProblemDesc& sample, const planner::Plan& cand);
-
   simt::Device& dev_;
-  Options opt_;
   std::shared_ptr<planner::Planner> planner_;
 };
 

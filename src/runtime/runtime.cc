@@ -69,23 +69,18 @@ Runtime::Runtime(Options opt)
     : opt_(std::move(opt)),
       labels_(next_runtime_labels()),
       m_(labels_) {
-  REGLA_CHECK_MSG(!opt_.planner.autotune,
-                  "runtime streams share one planner; autotune measurement "
-                  "would race across their devices — plan without it");
   REGLA_CHECK(opt_.max_flush_problems > 0 && opt_.max_queue_problems > 0);
   opt_.target_waves = std::max(1, opt_.target_waves);
-  planner_ = std::make_shared<planner::Planner>(opt_.planner);
+  planner_ = std::make_shared<planner::Planner>();
   arena_ = std::make_unique<Arena>();
 
   fleet::Fleet::Options fopt;
   fopt.devices = opt_.devices;
   if (fopt.devices.empty())
     fopt.devices.push_back({"dev0", simt::DeviceConfig{}, kDefaultStreams});
-  fopt.router = opt_.router;
   fopt.circuit_break_after = opt_.circuit_break_after;
   fopt.circuit_cooldown = opt_.circuit_cooldown;
   fopt.planner = planner_;
-  fopt.replay = opt_.replay;
   fleet_ = std::make_unique<fleet::Fleet>(std::move(fopt));
 
   // streams + spares + 1 so the pool has one helper thread per stream (the
@@ -564,9 +559,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       // while eligible siblings are busy, and a waiter that held a stream
       // could deadlock against a sibling waiting the other way.
       lease.release();
-      const planner::ProblemDesc desc{sig.op, sig.m, sig.n, p.problems(),
-                                      sig.dtype};
-      auto next = fleet_->acquire(desc, exclude);
+      auto next = fleet_->acquire(exclude);
       if (next && !next->circuit_open()) {
         fleet_->record_reroute_away(failed_id);
         lease = std::move(*next);
@@ -892,18 +885,15 @@ void Runtime::execute(Batch& batch) {
     }
     if (batch.requests.empty()) return;  // nothing left to execute
   }
-  // Route the batch: the fleet picks a device by queue depth, plan-cache
-  // affinity, and circuit state, and leases one of its streams (RAII — the
-  // stream returns to its device even if an exception escapes below).
-  // Blocks while every eligible device is busy; nullopt means nothing is
-  // routable at all (everything drained or removed mid-flight).
-  const planner::ProblemDesc route_desc{batch.sig.op, batch.sig.m,
-                                        batch.sig.n, batch.problems,
-                                        batch.sig.dtype};
+  // Route the batch: the fleet picks a device by circuit state and queue
+  // depth, and leases one of its streams (RAII — the stream returns to its
+  // device even if an exception escapes below). Blocks while every eligible
+  // device is busy; nullopt means nothing is routable at all (everything
+  // drained or removed mid-flight).
   std::optional<fleet::Lease> leased;
   {
     obs::Span wait_span("runtime.stream-wait", "runtime");
-    leased = fleet_->acquire(route_desc);
+    leased = fleet_->acquire();
   }
   if (!leased) {
     execute_no_device(batch, Clock::now());
@@ -965,7 +955,7 @@ void Runtime::execute(Batch& batch) {
     // The resilience policy released the lease (re-route found nothing) and
     // the failure propagated. Re-acquire for the isolation pass; if the
     // fleet has nothing routable left, finish on the no-device path.
-    auto again = fleet_->acquire(route_desc);
+    auto again = fleet_->acquire();
     if (!again) {
       execute_no_device(batch, started);
       return;
@@ -984,7 +974,7 @@ void Runtime::execute(Batch& batch) {
           // lease (that only happens with cpu_fallback off, where the
           // failure propagates). Take a fresh lease for this request; with
           // nothing routable its future gets the typed no-device error.
-          auto again = fleet_->acquire(route_desc);
+          auto again = fleet_->acquire();
           if (!again)
             throw NoDeviceAvailable(
                 "no routable fleet device (all drained or removed)");

@@ -11,11 +11,10 @@
 // placed on a fleet of devices (fleet/fleet.h): each fleet member owns its
 // worker streams (a Device + Solver per stream; every stream shares one
 // planner, so a signature planned anywhere is a plan-cache hit everywhere),
-// the router picks the member by queue depth / plan-cache affinity /
-// circuit state, and per-problem results scatter back to each submitter's
-// future. Devices can be added, drained, removed, or die mid-traffic; a
-// batch whose device fails re-routes to a healthy sibling before the CPU
-// fallback kicks in.
+// the router picks the member by circuit state and queue depth, and
+// per-problem results scatter back to each submitter's future. Devices can
+// be added, drained, removed, or die mid-traffic; a batch whose device fails
+// re-routes to a healthy sibling before the CPU fallback kicks in.
 //
 //   runtime::Runtime rt;
 //   BatchF a(4, 32, 32);  // four 32x32 problems from this caller
@@ -141,15 +140,13 @@ struct SubmitOptions {
 struct RuntimeOptions {
   /// The fleet: every entry is a device (heterogeneous configs allowed) with
   /// its own worker streams; coalesced batches are routed across them by
-  /// queue depth, plan-cache affinity, and circuit state (fleet/router.h).
-  /// Each entry is used as given. Empty = one quadro6000 member named "dev0"
-  /// with Runtime::kDefaultStreams streams. Streams own no host threads:
-  /// every stream simulates its blocks on the one process-wide pool
+  /// circuit state and queue depth (fleet/router.h). Each entry is used as
+  /// given. Empty = one quadro6000 member named "dev0" with
+  /// Runtime::kDefaultStreams streams. Streams own no host threads: every
+  /// stream simulates its blocks on the one process-wide pool
   /// (fleet::Stream), so a stream with a full launch wave uses whatever
   /// cores its siblings leave idle.
   std::vector<fleet::DeviceSpec> devices;
-  /// Placement policy knobs for the fleet router.
-  fleet::RouterOptions router;
   /// How long the oldest request in a queue may wait before the queue is
   /// flushed below the model-preferred size. Zero disables coalescing:
   /// every submission flushes immediately (the bench's baseline mode).
@@ -163,15 +160,6 @@ struct RuntimeOptions {
   /// (target batch = target_waves * Plan::concurrent, capped by
   /// max_flush_problems).
   int target_waves = 1;
-  /// Replay memoization on the stream devices (fleet::FleetOptions::replay,
-  /// simt/replay.h): per launch shape, simulate representative blocks and
-  /// replay their cycle accounting for the rest. Timing-exact for the
-  /// data-independent ops the runtime serves (REGLA_REPLAY_VERIFY=1
-  /// re-simulates and asserts it); false = full simulation per block.
-  bool replay = true;
-  /// Options for the shared planner. Autotune must stay off (measuring
-  /// through a shared planner would race across worker devices).
-  planner::PlannerOptions planner;
   /// Test/instrumentation hook: when set, replaces the Solver call for f32
   /// batches. Receives the assembled device batch; may throw (fault
   /// injection) — the runtime's isolation retry then re-runs per request.

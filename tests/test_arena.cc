@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -495,9 +496,19 @@ TEST(RuntimeRagged, ReplayKeysOnTheEmbedding) {
     opt.devices = {{"dev0", {}, 1}};
     opt.max_batch_delay = 10s;
     opt.ragged = true;
-    opt.replay = replay;
     opt.max_retries = 1;
     Runtime rt(opt);
+    if (!replay) {
+      // The fleet has one stream, so this lease is that stream's. Turn its
+      // replay off for the full-simulation baseline, then hand it back
+      // before anything is submitted.
+      std::optional<fleet::Lease> lease = rt.fleet().acquire();
+      simt::Device& dev = lease.value().stream().device();
+      dev.set_replay(false);
+      // Otherwise the comparison below would be replay against replay.
+      EXPECT_FALSE(dev.replay_enabled());
+      lease->release();
+    }
     std::vector<double> seconds;
     for (const int n : {32, 30, 32, 28, 30}) {
       BatchF a(2, n, n);

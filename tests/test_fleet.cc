@@ -1,8 +1,8 @@
-// The multi-device fleet: router policy (pure pick()), plan-cache affinity
-// probes, fleet lifecycle (drain / remove / add / kill), and the serving
-// runtime's routing + re-route behavior over it.
+// The multi-device fleet: router policy (pure pick()), fleet lifecycle
+// (drain / remove / add / kill), and the serving runtime's routing +
+// re-route behavior over it.
 //
-// FleetRouter.* / FleetCache.* / FleetUnit.* are lock-light unit tests;
+// FleetRouter.* / FleetUnit.* are lock-light unit tests;
 // FleetSharedPool.* launches on two streams at once over the shared host
 // pool; FleetLifecycle.* drive a Runtime through the solve_override hook (no
 // kernels, TSan-friendly); FleetFault.* run real kernels under deterministic
@@ -34,7 +34,6 @@ using namespace std::chrono_literals;
 using fleet::DeviceSpec;
 using fleet::DeviceState;
 using fleet::RouteCandidate;
-using fleet::RouterOptions;
 using planner::Op;
 using runtime::Report;
 using runtime::Runtime;
@@ -43,105 +42,44 @@ using runtime::Signature;
 
 // --- Router policy ---------------------------------------------------------
 
-RouteCandidate cand(int device, double load, bool warm = false,
-                    bool open = false, std::uint64_t stamp = 0) {
+RouteCandidate cand(int device, double load, bool open = false,
+                    std::uint64_t stamp = 0) {
   RouteCandidate c;
   c.device = device;
   c.load = load;
-  c.warm = warm;
   c.circuit_open = open;
   c.last_routed = stamp;
   return c;
 }
 
 TEST(FleetRouter, PrefersLowestLoad) {
-  RouterOptions opt;
   const std::vector<RouteCandidate> cs = {cand(0, 1.0), cand(1, 0.25),
                                           cand(2, 0.5)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
-}
-
-TEST(FleetRouter, AffinityDiscountsLoad) {
-  RouterOptions opt;  // affinity_bonus = 0.5
-  // Device 1 is busier but already holds a cached plan for the signature:
-  // 0.75 - 0.5 = 0.25 beats device 0's cold 0.5.
-  const std::vector<RouteCandidate> cs = {cand(0, 0.5, /*warm=*/false),
-                                          cand(1, 0.75, /*warm=*/true)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
-  // With affinity off, raw load decides.
-  opt.affinity_bonus = 0;
-  EXPECT_EQ(fleet::pick(opt, cs), 0);
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, ClosedCircuitBeatsOpenWhateverTheLoad) {
-  RouterOptions opt;
-  const std::vector<RouteCandidate> cs = {
-      cand(0, 0.0, /*warm=*/true, /*open=*/true), cand(1, 5.0)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
+  const std::vector<RouteCandidate> cs = {cand(0, 0.0, /*open=*/true),
+                                          cand(1, 5.0)};
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, AllOpenStillPicksOne) {
-  RouterOptions opt;
-  const std::vector<RouteCandidate> cs = {cand(0, 1.0, false, true),
-                                          cand(1, 0.5, false, true)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);  // lowest load among the open
+  const std::vector<RouteCandidate> cs = {cand(0, 1.0, /*open=*/true),
+                                          cand(1, 0.5, /*open=*/true)};
+  EXPECT_EQ(fleet::pick(cs), 1);  // lowest load among the open
 }
 
 TEST(FleetRouter, RoundRobinBreaksExactTies) {
-  RouterOptions opt;
-  // Same load, same warmth: the least-recently-routed stamp wins.
-  const std::vector<RouteCandidate> cs = {cand(0, 0.0, false, false, 7),
-                                          cand(1, 0.0, false, false, 3),
-                                          cand(2, 0.0, false, false, 5)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
+  // Same load: the least-recently-routed stamp wins.
+  const std::vector<RouteCandidate> cs = {cand(0, 0.0, false, 7),
+                                          cand(1, 0.0, false, 3),
+                                          cand(2, 0.0, false, 5)};
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, EmptyListReturnsMinusOne) {
-  EXPECT_EQ(fleet::pick(RouterOptions{}, {}), -1);
-}
-
-// --- Plan-cache affinity ---------------------------------------------------
-
-TEST(FleetCache, WarmMatchesShapeAcrossBatchSizes) {
-  planner::Planner pl;
-  const auto cfg = simt::DeviceConfig::quadro6000();
-  const std::uint64_t fp = planner::Planner::config_fingerprint(cfg);
-  const planner::ProblemDesc planned{Op::qr, 8, 8, 64, planner::Dtype::f32};
-  EXPECT_FALSE(pl.cache().warm(planned, fp));
-  (void)pl.plan(cfg, planned);
-  // Same shape, any batch size: warm. Different shape or config: cold.
-  const planner::ProblemDesc other_batch{Op::qr, 8, 8, 7,
-                                         planner::Dtype::f32};
-  EXPECT_TRUE(pl.cache().warm(other_batch, fp));
-  const planner::ProblemDesc other_shape{Op::qr, 12, 12, 64,
-                                         planner::Dtype::f32};
-  EXPECT_FALSE(pl.cache().warm(other_shape, fp));
-  auto smaller = cfg;
-  smaller.num_sm = 7;
-  EXPECT_FALSE(pl.cache().warm(
-      planned, planner::Planner::config_fingerprint(smaller)));
-}
-
-TEST(FleetCache, WarmSurvivesUntilLastBatchVariantEvicts) {
-  planner::PlanCache cache(2);
-  planner::PlanCache::Key k1, k2, k3;
-  k1.desc = {Op::qr, 8, 8, 16, planner::Dtype::f32};
-  k2.desc = {Op::qr, 8, 8, 32, planner::Dtype::f32};  // same shape, new batch
-  k3.desc = {Op::lu, 6, 6, 16, planner::Dtype::f32};
-  k1.fingerprint = k2.fingerprint = k3.fingerprint = 42;
-  cache.insert(k1, planner::Plan{});
-  cache.insert(k2, planner::Plan{});
-  EXPECT_TRUE(cache.warm(k1.desc, 42));
-  // k3 evicts k1 (LRU), but the 8x8 shape stays warm through k2...
-  cache.insert(k3, planner::Plan{});
-  EXPECT_TRUE(cache.warm(k1.desc, 42));
-  // ...until the last 8x8 entry is evicted too.
-  planner::PlanCache::Key k4;
-  k4.desc = {Op::lu, 10, 10, 16, planner::Dtype::f32};
-  k4.fingerprint = 42;
-  cache.insert(k4, planner::Plan{});
-  EXPECT_FALSE(cache.warm(k1.desc, 42));
-  EXPECT_TRUE(cache.warm(k3.desc, 42));
+  EXPECT_EQ(fleet::pick({}), -1);
 }
 
 // --- Fleet unit ------------------------------------------------------------
@@ -153,12 +91,10 @@ fleet::Fleet::Options two_device_options() {
   return opt;
 }
 
-const planner::ProblemDesc kDesc{Op::qr, 8, 8, 16, planner::Dtype::f32};
-
 TEST(FleetUnit, AcquireSpreadsAcrossDevices) {
   fleet::Fleet f(two_device_options());
-  auto l1 = f.acquire(kDesc);
-  auto l2 = f.acquire(kDesc);
+  auto l1 = f.acquire();
+  auto l2 = f.acquire();
   ASSERT_TRUE(l1 && l2);
   const int first = l1->device_id();
   EXPECT_NE(first, l2->device_id());
@@ -175,12 +111,12 @@ TEST(FleetUnit, AcquireSpreadsAcrossDevices) {
 TEST(FleetUnit, ExcludeMaskSkipsDevice) {
   fleet::Fleet f(two_device_options());
   for (int i = 0; i < 4; ++i) {
-    auto l = f.acquire(kDesc, /*exclude=*/1ull << 0);
+    auto l = f.acquire(/*exclude=*/1ull << 0);
     ASSERT_TRUE(l);
     EXPECT_EQ(l->device_id(), 1);
   }
   // Everything excluded: no eligible device at all.
-  EXPECT_FALSE(f.acquire(kDesc, 0b11));
+  EXPECT_FALSE(f.acquire(0b11));
   EXPECT_EQ(f.stats().no_device, 1u);
 }
 
@@ -189,7 +125,7 @@ TEST(FleetUnit, DrainStopsRoutingRemoveDestroysStreams) {
   f.drain(0);
   EXPECT_EQ(f.active_devices(), 1);
   for (int i = 0; i < 3; ++i) {
-    auto l = f.acquire(kDesc);
+    auto l = f.acquire();
     ASSERT_TRUE(l);
     EXPECT_EQ(l->device_id(), 1);
   }
@@ -198,12 +134,12 @@ TEST(FleetUnit, DrainStopsRoutingRemoveDestroysStreams) {
   EXPECT_EQ(f.device_stats(0).streams, 0);
   EXPECT_EQ(f.total_streams(), 1);
   f.remove(1);
-  EXPECT_FALSE(f.acquire(kDesc));
+  EXPECT_FALSE(f.acquire());
 }
 
 TEST(FleetUnit, KillFlagsTheLease) {
   fleet::Fleet f(two_device_options());
-  auto l = f.acquire(kDesc, /*exclude=*/1ull << 1);  // pin to device 0
+  auto l = f.acquire(/*exclude=*/1ull << 1);  // pin to device 0
   ASSERT_TRUE(l);
   EXPECT_FALSE(l->killed());
   f.kill(0);
@@ -219,11 +155,30 @@ TEST(FleetUnit, AddDeviceJoinsRouting) {
   const int id = f.add_device(DeviceSpec{"late", f.primary_config(), 1});
   EXPECT_EQ(id, 1);
   EXPECT_EQ(f.active_devices(), 2);
-  auto l0 = f.acquire(kDesc);
-  auto l1 = f.acquire(kDesc);
+  auto l0 = f.acquire();
+  auto l1 = f.acquire();
   ASSERT_TRUE(l0 && l1);
   EXPECT_NE(l0->device_id(), l1->device_id());
   EXPECT_EQ(f.device_stats(1).name, "late");
+}
+
+// Placement reads load, not planner state: a device whose configuration
+// already planned the shape gets no discount over an idle sibling.
+TEST(FleetUnit, HeterogeneousFleetRoutesByLoadNotPlanState) {
+  fleet::Fleet::Options opt;
+  simt::DeviceConfig small = simt::DeviceConfig::quadro6000();
+  small.num_sm = 7;
+  opt.devices = {DeviceSpec{"big", simt::DeviceConfig::quadro6000(), 4},
+                 DeviceSpec{"small", small, 1}};
+  fleet::Fleet f(std::move(opt));
+  (void)f.planner()->plan(simt::DeviceConfig::quadro6000(),
+                          {Op::qr, 8, 8, 16, planner::Dtype::f32});
+  auto first = f.acquire();
+  auto second = f.acquire();
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(first->device_name(), "big");  // exact tie: member order
+  // big now carries 1 of 4 streams (load 0.25); small is idle (load 0).
+  EXPECT_EQ(second->device_name(), "small");
 }
 
 TEST(FleetUnit, ExhaustedEpisodesOpenAndSuccessCloses) {
@@ -231,7 +186,7 @@ TEST(FleetUnit, ExhaustedEpisodesOpenAndSuccessCloses) {
   opt.circuit_break_after = 2;
   opt.circuit_cooldown = 10s;  // stays open unless a success closes it
   fleet::Fleet f(std::move(opt));
-  auto l = f.acquire(kDesc, 1ull << 1);
+  auto l = f.acquire(1ull << 1);
   ASSERT_TRUE(l);
   EXPECT_FALSE(f.record_exhausted(*l));  // streak 1 of 2
   EXPECT_TRUE(f.record_exhausted(*l));   // trips

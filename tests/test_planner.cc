@@ -3,8 +3,6 @@
 // the regla::Solver facade must produce correct numerics end to end.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/generators.h"
 #include "core/batched.h"
 #include "planner/planner.h"
@@ -139,7 +137,7 @@ TEST(PlanCache, DeviceReconfigurationInvalidates) {
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsed) {
-  Planner p(Planner::Options{.cache_capacity = 2});
+  Planner p(/*cache_capacity=*/2);
   const auto cfg = quadro();
   (void)p.plan(cfg, ProblemDesc{Op::qr, 8, 8, 10, Dtype::f32});
   (void)p.plan(cfg, ProblemDesc{Op::qr, 9, 9, 10, Dtype::f32});
@@ -171,7 +169,7 @@ TEST(Solver, QrEndToEndAndCacheHitOnRepeat) {
   original = batch;
   const auto rep = solver.qr(batch, &taus);
   EXPECT_EQ(rep.approach(), Approach::per_block);
-  EXPECT_FALSE(rep.cache_hit);
+  EXPECT_FALSE(rep.plan.from_cache);
   EXPECT_GT(rep.gflops(), 0);
   EXPECT_TRUE(rep.all_solved());
   EXPECT_LT(testing::worst_packed_qr_error(batch, original, taus), 5e-4f);
@@ -179,9 +177,9 @@ TEST(Solver, QrEndToEndAndCacheHitOnRepeat) {
   BatchF batch2(12, 24, 24), taus2;
   fill_uniform(batch2, 22);
   const auto rep2 = solver.qr(batch2, &taus2);
-  EXPECT_TRUE(rep2.cache_hit);
-  EXPECT_EQ(rep2.planner_hits, 1u);
-  EXPECT_EQ(rep2.planner_misses, 1u);
+  EXPECT_TRUE(rep2.plan.from_cache);
+  EXPECT_EQ(solver.planner().stats().cache_hits, 1u);
+  EXPECT_EQ(solver.planner().stats().cache_misses, 1u);
 }
 
 TEST(Solver, SolveMethodsBothSolve) {
@@ -202,33 +200,6 @@ TEST(Solver, SolveMethodsBothSolve) {
       solver.solve(a2, b2, {.method = core::SolveMethod::gauss_jordan});
   EXPECT_TRUE(gj.all_solved());
   EXPECT_LT(testing::worst_solve_residual(a0, b2, b0), 2e-4f);
-}
-
-TEST(Solver, AutotuneRecordsModelError) {
-  simt::Device dev;
-  Solver::Options opt;
-  opt.planner.autotune = true;
-  opt.planner.autotune_top_k = 2;
-  opt.planner.autotune_sample_batch = 32;
-  Solver solver(dev, opt);
-
-  BatchF batch(64, 40, 40);
-  fill_uniform(batch, 41);
-  const auto rep = solver.qr(batch);
-  EXPECT_TRUE(rep.plan.autotuned);
-  EXPECT_GT(rep.plan.measured_cycles, 0);
-  EXPECT_GE(rep.plan.model_rel_error, 0);
-  const auto s = solver.planner().stats();
-  EXPECT_GE(s.autotune_runs, 2u);
-  EXPECT_EQ(s.model_error_count, 1u);
-  // The error is the model's sample prediction against the measured winner,
-  // and it is the whole of the planner's error record.
-  EXPECT_GT(rep.plan.predicted_sample_cycles, 0);
-  EXPECT_DOUBLE_EQ(rep.plan.model_rel_error,
-                   std::abs(rep.plan.predicted_sample_cycles -
-                            rep.plan.measured_cycles) /
-                       rep.plan.measured_cycles);
-  EXPECT_DOUBLE_EQ(s.mean_model_error(), rep.plan.model_rel_error);
 }
 
 }  // namespace

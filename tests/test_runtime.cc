@@ -253,14 +253,6 @@ TEST(RuntimeQueue, UnsupportedSignatureFailsCleanlyAndRepeatedly) {
   EXPECT_EQ(rt.stats().requests, 1u);  // the rejected submissions never count
 }
 
-// The autotune knob is incompatible with the shared planner and must be
-// rejected at construction, not discovered as a race later.
-TEST(RuntimeQueue, RejectsAutotune) {
-  RuntimeOptions opt;
-  opt.planner.autotune = true;
-  EXPECT_THROW(Runtime rt(opt), regla::Error);
-}
-
 // Stats plumbing: the runtime's latency histogram covers every accepted
 // request and the quantiles are ordered.
 TEST(RuntimeQueue, LatencyHistogramCoversRequests) {
