@@ -13,6 +13,8 @@
 //   5. rank-1 trailing update                                    [rank1]
 #pragma once
 
+#include <type_traits>
+
 #include "core/detail/scalar_ops.h"
 #include "core/layout.h"
 #include "simt/simt.h"
@@ -21,64 +23,62 @@ namespace regla::core::detail {
 
 using simt::BlockCtx;
 using simt::OpTag;
-using simt::SharedArray;
 
 // --- reflector head <-> shared memory ------------------------------------
 // Layout of the 8-float head buffer: [tau_re, tau_im, inv_re, inv_im, beta,
-// skip]; real kernels use only [0], [2], [4], [5].
+// skip]; real kernels use only [0], [2], [4], [5]. `Head` is a block's
+// SharedArray<float> or a group's GroupShared<float>.
 
-inline void store_head(SharedArray<float>& h, const Reflector<gfloat>& r) {
+/// The skip flag as a stored value: 1 where skipped, 0 elsewhere.
+inline gfloat skip_flag(bool skip) { return gfloat(skip ? 1.0f : 0.0f); }
+inline gfloat8 skip_flag(mask8 skip) {
+  return select(skip, gfloat8(1.0f), gfloat8(0.0f));
+}
+
+template <typename Head, typename S>
+void store_head(Head& h, const Reflector<S>& r) {
   h.st(0, r.tau);
   h.st(2, r.inv);
   h.st(4, r.beta);
-  h.st(5, gfloat(r.skip ? 1.0f : 0.0f));
+  h.st(5, skip_flag(r.skip));
 }
-inline void store_head(SharedArray<float>& h, const Reflector<gcomplex>& r) {
+template <typename Head>
+void store_head(Head& h, const Reflector<gcomplex>& r) {
   h.st(0, r.tau.re());
   h.st(1, r.tau.im());
   h.st(2, r.inv.re());
   h.st(3, r.inv.im());
   h.st(4, r.beta);
-  h.st(5, gfloat(r.skip ? 1.0f : 0.0f));
+  h.st(5, skip_flag(r.skip));
 }
 
-template <typename S>
-S load_head_inv(SharedArray<float>& h);
-template <>
-inline gfloat load_head_inv<gfloat>(SharedArray<float>& h) { return h.ld(2); }
-template <>
-inline gcomplex load_head_inv<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(2), h.ld(3)};
+template <typename S, typename Head>
+S load_head_inv(Head& h) {
+  if constexpr (std::is_same_v<S, gcomplex>) return {h.ld(2), h.ld(3)};
+  else return h.ld(2);
 }
 
 /// tau as applied during factorization (conjugated for complex).
-template <typename S>
-S load_head_applied_tau(SharedArray<float>& h);
-template <>
-inline gfloat load_head_applied_tau<gfloat>(SharedArray<float>& h) {
-  return h.ld(0);
-}
-template <>
-inline gcomplex load_head_applied_tau<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(0), -h.ld(1)};
+template <typename S, typename Head>
+S load_head_applied_tau(Head& h) {
+  if constexpr (std::is_same_v<S, gcomplex>) return {h.ld(0), -h.ld(1)};
+  else return h.ld(0);
 }
 
-template <typename S>
-S load_head_tau(SharedArray<float>& h);
-template <>
-inline gfloat load_head_tau<gfloat>(SharedArray<float>& h) { return h.ld(0); }
-template <>
-inline gcomplex load_head_tau<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(0), h.ld(1)};
+/// bool for a block, mask8 for a group.
+template <typename Head>
+auto load_head_skip(Head& h) {
+  using V = decltype(h.ld(5));
+  return h.ld(5) != V(0.0f);
 }
-
-inline bool load_head_skip(SharedArray<float>& h) { return h.ld(5).value() != 0.0f; }
 
 // --- kernel parameters -----------------------------------------------------
 
-template <typename S>
+/// `Store` is the batch's element type: float for the real kernel (which
+/// blocks run on gfloat and replay groups on gfloat8), std::complex<float>
+/// for the complex one.
+template <typename Store>
 struct QrBlockArgs {
-  using Store = typename StorageOf<S>::type;
   Store* a = nullptr;      ///< batch of m x n matrices, problem-major
   Store* b = nullptr;      ///< optional batch of m x 1 right-hand sides
   Store* taus = nullptr;   ///< optional batch of n tau scalars
@@ -92,41 +92,47 @@ struct QrBlockArgs {
 };
 
 /// 2D-cyclic one-problem-per-block Householder QR (+ optional solve).
-template <typename S>
-simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
+///
+/// One body for a block (Ctx = BlockCtx, S = gfloat / gcomplex) and for a
+/// replay group (Ctx = simt::GroupCtx, S = gfloat8): every branch below is
+/// on the thread's coordinates, uniform across a group, except the
+/// reflector's skip, which goes through make_reflector, to_scalar and
+/// unless (scalar_ops.h).
+template <typename S, typename Ctx>
+simt::Lane qr_block_2d(Ctx& ctx,
+                       const QrBlockArgs<typename StorageOf<S>::type>& arg) {
   using Store = typename StorageOf<S>::type;
-  const int k = ctx.block();
-  if (k >= arg.count) co_return;
+  using R = typename RealOf<S>::type;
+  // One block per problem: each addresses its own through the views below.
+  REGLA_CHECK(ctx.nblocks() == arg.count);
   const int m = arg.m, n = arg.n;
   const bool aug = arg.solve || arg.augment_only;
   const int naug = aug ? n + 1 : n;
   Grid2D g2(ctx.tid(), ctx.nthreads(), m, naug);
   const int r = g2.rdim;
 
-  auto ga = ctx.global(arg.a);
-  auto gb = arg.b != nullptr ? ctx.global(arg.b) : simt::Global<Store>();
-  const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * m * n;
-  const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * m;
+  auto ga = ctx.global(arg.a, static_cast<std::ptrdiff_t>(m) * n);
+  auto gb = ctx.global(arg.b, m);
 
-  auto v_sh = ctx.shared<Store>(m);
-  auto w_sh = ctx.shared<Store>(naug);
-  auto part = ctx.shared<Store>(naug * r);
-  auto red = ctx.shared<float>(r);
-  auto head = ctx.shared<float>(8);
-  auto tau_sh = ctx.shared<Store>(n);
+  auto v_sh = ctx.template shared<Store>(m);
+  auto w_sh = ctx.template shared<Store>(naug);
+  auto part = ctx.template shared<Store>(naug * r);
+  auto red = ctx.template shared<float>(r);
+  auto head = ctx.template shared<float>(8);
+  auto tau_sh = ctx.template shared<Store>(n);
 
   // ---- load the tile (paper Listing 4, with ragged-edge guards) ----
   ctx.set_panel(-1);
   ctx.tag(OpTag::load);
-  auto A = ctx.reg_tile<S>(g2.hreg, g2.wreg);
+  auto A = ctx.template reg_tile<S>(g2.hreg, g2.wreg);
   for (int jj = 0; jj < g2.wreg; ++jj) {
     const int gj = g2.gcol(jj);
     for (int ii = 0; ii < g2.hreg; ++ii) {
       const int gi = g2.grow(ii);
       if (gi < m && gj < n)
-        A.set(ii, jj, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(gj) * m));
+        A.set(ii, jj, ga.ld(gi + static_cast<std::ptrdiff_t>(gj) * m));
       else if (gi < m && gj == n && aug)
-        A.set(ii, jj, gb.ld(bbase + gi));
+        A.set(ii, jj, gb.ld(gi));
       else
         A.set(ii, jj, S(0.0f));
     }
@@ -141,7 +147,7 @@ simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     // 1. Local norm partials over rows below the diagonal.
     ctx.tag(OpTag::form_hh);
     if (g2.tcol == c % r) {
-      gfloat sigma(0.0f);
+      R sigma(0.0f);
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii)
         if (g2.grow(ii) < m) sigma = abs2_acc(A.get(ii, jloc), sigma);
@@ -152,26 +158,26 @@ simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     // 2. Diagonal thread: serial reduction + reflector head.
     const bool diag = g2.trow == c % r && g2.tcol == c % r;
     if (diag) {
-      gfloat sigma(0.0f);
+      R sigma(0.0f);
       for (int t = 0; t < r; ++t) sigma = red.ld(t) + sigma;
       const S alpha = A.get(g2.lrow(c), g2.lcol(c));
       const auto refl = make_reflector(alpha, sigma);
       store_head(head, refl);
       A.set(g2.lrow(c), g2.lcol(c), to_scalar(refl.beta, alpha, refl.skip));
       v_sh.st(c, S(1.0f));
-      tau_sh.st(c, refl.skip ? S(0.0f) : refl.tau);
+      tau_sh.st(c, unless(refl.skip, [&] { return refl.tau; }));
     }
     co_await ctx.sync();
 
     // 3. Scale the column and publish the Householder vector.
     if (g2.tcol == c % r) {
       const S inv = load_head_inv<S>(head);
-      const bool skip = load_head_skip(head);
+      const auto skip = load_head_skip(head);
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         if (gi >= m) continue;
-        const S v = skip ? S(0.0f) : A.get(ii, jloc) * inv;
+        const S v = unless(skip, [&] { return A.get(ii, jloc) * inv; });
         A.set(ii, jloc, v);
         v_sh.st(gi, v);
       }
@@ -195,7 +201,8 @@ simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     // parallel (the paper's cost model: one cost_red per column, "we assume
     // that there are at least as many threads as columns").
     {
-      const S taup = load_head_skip(head) ? S(0.0f) : load_head_applied_tau<S>(head);
+      const S taup = unless(load_head_skip(head),
+                            [&] { return load_head_applied_tau<S>(head); });
       for (int gj = c + 1 + ctx.tid(); gj < naug; gj += ctx.nthreads()) {
         S acc(0.0f);
         for (int t = 0; t < r; ++t) acc = part.ld(gj * r + t) + acc;
@@ -261,16 +268,14 @@ simt::Lane qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     for (int ii = 0; ii < g2.hreg; ++ii) {
       const int gi = g2.grow(ii);
       if (gi < m && gj < n)
-        ga.st(abase + gi + static_cast<std::ptrdiff_t>(gj) * m, A.get(ii, jj));
+        ga.st(gi + static_cast<std::ptrdiff_t>(gj) * m, A.get(ii, jj));
       else if (gi < m && gj == n && aug)
-        gb.st(bbase + gi, A.get(ii, jj));
+        gb.st(gi, A.get(ii, jj));
     }
   }
   if (arg.taus != nullptr && ctx.tid() == 0) {
-    auto gt = ctx.global(arg.taus);
-    for (int c = 0; c < n; ++c)
-      gt.st(static_cast<std::ptrdiff_t>(k) * n + c,
-            c < ncols ? tau_sh.ld(c) : S(0.0f));
+    auto gt = ctx.global(arg.taus, n);
+    for (int c = 0; c < n; ++c) gt.st(c, c < ncols ? tau_sh.ld(c) : S(0.0f));
   }
 }
 

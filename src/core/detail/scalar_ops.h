@@ -1,15 +1,24 @@
 // Scalar abstraction that lets the per-block kernels be written once for
-// real (gfloat) and complex (gcomplex) arithmetic.
+// real (gfloat) and complex (gcomplex) arithmetic, and for the 8-wide real
+// scalar a replay group runs them on (gfloat8, simt/wide.h).
+//
+// Value-dependent choices go through the helpers below (make_reflector,
+// to_scalar, unless). For gfloat and gcomplex they stay C++ conditionals,
+// so an instrumented block counts exactly the operations of the branch it
+// takes; for gfloat8 every element takes its own branch through a select.
 #pragma once
 
 #include <complex>
 
 #include "simt/gfloat.h"
+#include "simt/wide.h"
 
 namespace regla::core::detail {
 
 using simt::gcomplex;
 using simt::gfloat;
+using simt::gfloat8;
+using simt::mask8;
 
 // --- generic helpers ---------------------------------------------------
 inline gfloat conj_of(gfloat x) { return x; }
@@ -21,12 +30,16 @@ inline gfloat abs2(gcomplex z) { return z.norm2(); }
 
 /// acc + |x|^2 (counted as a MAC for the real case).
 inline gfloat abs2_acc(gfloat x, gfloat acc) { return gfma(x, x, acc); }
+inline gfloat8 abs2_acc(gfloat8 x, gfloat8 acc) { return gfma(x, x, acc); }
 inline gfloat abs2_acc(gcomplex z, gfloat acc) {
   return gfma(z.re(), z.re(), gfma(z.im(), z.im(), acc));
 }
 
 /// acc + conj(a) * b.
 inline gfloat mac_conj(gfloat a, gfloat b, gfloat acc) { return gfma(a, b, acc); }
+inline gfloat8 mac_conj(gfloat8 a, gfloat8 b, gfloat8 acc) {
+  return gfma(a, b, acc);
+}
 inline gcomplex mac_conj(gcomplex a, gcomplex b, gcomplex acc) {
   return acc + a.conj() * b;
 }
@@ -35,6 +48,25 @@ inline gcomplex mac_conj(gcomplex a, gcomplex b, gcomplex acc) {
 template <typename S> struct StorageOf;
 template <> struct StorageOf<gfloat> { using type = float; };
 template <> struct StorageOf<gcomplex> { using type = std::complex<float>; };
+template <> struct StorageOf<gfloat8> { using type = float; };
+
+/// The real type of a scalar's norms and the type of its branch choices.
+template <typename S> struct RealOf { using type = gfloat; };
+template <> struct RealOf<gfloat8> { using type = gfloat8; };
+template <typename S> struct MaskOf { using type = bool; };
+template <> struct MaskOf<gfloat8> { using type = mask8; };
+
+/// Zero where `skip`, f() elsewhere. A scalar skip does not evaluate f(),
+/// so it counts nothing; a group evaluates f() for every member and keeps
+/// it where the member's skip is clear.
+template <typename F>
+auto unless(bool skip, F&& f) -> decltype(f()) {
+  return skip ? decltype(f())(0.0f) : f();
+}
+template <typename F>
+gfloat8 unless(mask8 skip, F&& f) {
+  return select(skip, gfloat8(0.0f), f());
+}
 
 inline bool is_zero(gfloat x) { return x.value() == 0.0f; }
 inline bool is_zero(gcomplex z) {
@@ -47,8 +79,8 @@ template <typename S>
 struct Reflector {
   S tau{};     // scalar factor (conjugated form applied in-factorization)
   S inv{};     // 1 / (alpha - beta)
-  gfloat beta{0.0f};
-  bool skip = false;
+  typename RealOf<S>::type beta{0.0f};
+  typename MaskOf<S>::type skip{};
 };
 
 /// Real Householder head: alpha = A(c,c), sigma = sum of squares below.
@@ -64,6 +96,19 @@ inline Reflector<gfloat> make_reflector(gfloat alpha, gfloat sigma) {
   r.beta = beta;
   r.tau = (beta - alpha) / beta;
   r.inv = gfloat(1.0f) / (alpha - beta);
+  return r;
+}
+
+/// The real head for a group: each member's make_reflector, through
+/// selects. A skipping member's tau and inv are zero, as in the scalar head.
+inline Reflector<gfloat8> make_reflector(gfloat8 alpha, gfloat8 sigma) {
+  Reflector<gfloat8> r;
+  r.skip = sigma == gfloat8(0.0f);
+  const gfloat8 mag = gsqrt(abs2_acc(alpha, sigma));
+  const gfloat8 beta = select(alpha > gfloat8(0.0f), -mag, mag);
+  r.beta = select(r.skip, alpha, beta);
+  r.tau = unless(r.skip, [&] { return (beta - alpha) / beta; });
+  r.inv = unless(r.skip, [&] { return gfloat8(1.0f) / (alpha - beta); });
   return r;
 }
 
@@ -101,10 +146,14 @@ inline gfloat to_scalar(gfloat beta, gfloat alpha, bool skip) {
 inline gcomplex to_scalar(gfloat beta, gcomplex alpha, bool skip) {
   return skip ? alpha : gcomplex(beta, gfloat(0.0f));
 }
+inline gfloat8 to_scalar(gfloat8 beta, gfloat8 alpha, mask8 skip) {
+  return select(skip, alpha, beta);
+}
 
 /// Full scalar division (complex divide kept out of gcomplex's API so its
 /// FLOP cost stays explicit: two real divides plus the norm).
 inline gfloat div_scalar(gfloat a, gfloat b) { return a / b; }
+inline gfloat8 div_scalar(gfloat8 a, gfloat8 b) { return a / b; }
 inline gcomplex div_scalar(gcomplex a, gcomplex b) {
   const gfloat d = b.norm2();
   const gcomplex num = a * b.conj();

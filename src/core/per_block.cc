@@ -27,6 +27,20 @@ simt::LaunchSpec block_spec(const simt::DeviceConfig& cfg, int count,
   return spec;
 }
 
+/// The real 2D-cyclic QR kernel with its replay-group form: replayed
+/// blocks run eight problems per lane step on gfloat8 (DESIGN.md §13).
+simt::LaunchResult launch_qr_2d(simt::Device& dev, const simt::LaunchSpec& spec,
+                                const detail::QrBlockArgs<float>& arg) {
+  return dev.launch(
+      spec,
+      [arg](simt::BlockCtx& ctx) {
+        return detail::qr_block_2d<simt::gfloat>(ctx, arg);
+      },
+      [arg](simt::GroupCtx& ctx) {
+        return detail::qr_block_2d<simt::gfloat8>(ctx, arg);
+      });
+}
+
 }  // namespace
 
 int per_block_regs(const simt::DeviceConfig& cfg, int m, int naug, int threads,
@@ -49,7 +63,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchF& batch,
   const int threads = resolve_threads(dev.config(), opt, m, n);
   if (taus != nullptr) *taus = BatchF(batch.count(), n, 1);
 
-  detail::QrBlockArgs<simt::gfloat> arg;
+  detail::QrBlockArgs<float> arg;
   arg.a = batch.data();
   arg.taus = taus ? taus->data() : nullptr;
   arg.m = m;
@@ -58,9 +72,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchF& batch,
 
   const auto spec = block_spec(dev.config(), batch.count(), threads, m, n, 1,
                                "qr_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    return detail::qr_block_2d<simt::gfloat>(ctx, arg);
-  });
+  auto res = launch_qr_2d(dev, spec, arg);
   return GpuBatchResult{res, model::qr_flops(m, n) * batch.count()};
 }
 
@@ -73,7 +85,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchC& batch,
   const int threads = resolve_threads(dev.config(), opt, m, n);
   if (taus != nullptr) *taus = BatchC(batch.count(), n, 1);
 
-  detail::QrBlockArgs<simt::gcomplex> arg;
+  detail::QrBlockArgs<std::complex<float>> arg;
   arg.a = batch.data();
   arg.taus = taus ? taus->data() : nullptr;
   arg.m = m;
@@ -97,7 +109,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
 
   simt::LaunchResult res;
   if (opt.layout == Layout::cyclic2d) {
-    detail::QrBlockArgs<simt::gfloat> arg;
+    detail::QrBlockArgs<float> arg;
     arg.a = a.data();
     arg.b = b.data();
     arg.m = n;
@@ -106,9 +118,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
     arg.solve = true;
     const auto spec = block_spec(dev.config(), a.count(), threads, n, n + 1, 1,
                                  "qr_solve_per_block_2d");
-    res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      return detail::qr_block_2d<simt::gfloat>(ctx, arg);
-    });
+    res = launch_qr_2d(dev, spec, arg);
   } else {
     detail::Qr1DArgs arg;
     arg.a = a.data();
@@ -199,7 +209,7 @@ GpuBatchResult ls_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b,
                   "least squares is implemented for the 2D layout");
   const int threads = resolve_threads(dev.config(), opt, m, n + 1);
 
-  detail::QrBlockArgs<simt::gfloat> arg;
+  detail::QrBlockArgs<float> arg;
   arg.a = a.data();
   arg.b = b.data();
   arg.m = m;
@@ -209,9 +219,7 @@ GpuBatchResult ls_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b,
 
   const auto spec = block_spec(dev.config(), a.count(), threads, m, n + 1, 1,
                                "ls_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    return detail::qr_block_2d<simt::gfloat>(ctx, arg);
-  });
+  auto res = launch_qr_2d(dev, spec, arg);
   return GpuBatchResult{res, model::ls_flops(m, n) * a.count()};
 }
 

@@ -79,7 +79,7 @@ TiledResult tiled_qr_impl(simt::Device& dev,
           stacked.at(k, row + i, j) = batch.at(k, consumed + i, j);
     }
 
-    detail::QrBlockArgs<S> arg;
+    detail::QrBlockArgs<Store> arg;
     arg.a = stacked.data();
     arg.m = rows;
     arg.n = n;
@@ -160,7 +160,7 @@ TiledResult tiled_least_squares(regla::simt::Device& dev, BatchF& a, BatchF& b,
         bvec.at(k, off + i, 0) = b.at(k, consumed + i, 0);
     }
 
-    detail::QrBlockArgs<simt::gfloat> arg;
+    detail::QrBlockArgs<float> arg;
     arg.a = stacked.data();
     arg.b = bvec.data();
     arg.m = rows;

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -189,6 +190,26 @@ std::uint64_t replay_salt(const regla::simt::Device& dev,
   return h;
 }
 
+/// Blocks after which the payloads' alignment classes repeat: problem k of
+/// a payload sits at base + k·stride, whose class mod the DRAM segment has
+/// period segment / gcd(segment, stride). A block spans one problem or a
+/// run of them, so blocks repeat with a divisor of this period.
+int replay_alignment_period(const regla::simt::Device& dev, const Call& call) {
+  const std::uint64_t seg =
+      std::max<std::uint64_t>(1, dev.config().dram_segment_bytes);
+  std::uint64_t g = seg;
+  const auto fold = [&](const auto* batch) {
+    if (batch != nullptr)
+      g = std::gcd(g, batch->stride() * sizeof(*batch->data()));
+  };
+  fold(call.a);
+  fold(call.b);
+  fold(call.taus);
+  fold(call.ca);
+  fold(call.ctaus);
+  return static_cast<int>(seg / g);
+}
+
 }  // namespace
 
 SolveReport run_device(regla::simt::Device& dev, planner::Op op,
@@ -206,7 +227,8 @@ SolveReport run_device(regla::simt::Device& dev, planner::Op op,
   const bool data_independent =
       traits.data_independent && plan.approach != core::Approach::tiled;
   regla::simt::Device::ReplayScope scope(
-      dev, data_independent, data_independent ? replay_salt(dev, plan, call) : 0);
+      dev, data_independent, data_independent ? replay_salt(dev, plan, call) : 0,
+      data_independent ? replay_alignment_period(dev, call) : 1);
   return e->device(dev, plan, call);
 }
 

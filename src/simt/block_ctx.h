@@ -64,6 +64,13 @@ class BlockCtx {
     return Global<T>(ptr, *cfg_, state_->chase.get());
   }
 
+  /// This block's problem in a problem-major batch of `per_block` elements
+  /// per problem: global(ptr + block() * per_block). Null stays null.
+  template <typename T>
+  Global<T> global(T* ptr, std::ptrdiff_t per_block) {
+    return global(ptr != nullptr ? ptr + block_ * per_block : ptr);
+  }
+
   /// Per-thread register tile; spill accounting uses the machine's register
   /// budget minus the bookkeeping registers every kernel needs.
   template <typename V>

@@ -46,17 +46,20 @@ void Device::set_replay(bool on) {
 }
 
 Device::ReplayScope::ReplayScope(Device& dev, bool data_independent,
-                                 std::uint64_t salt)
+                                 std::uint64_t salt, int alignment_period)
     : dev_(dev),
       prev_di_(dev.scope_data_independent_),
-      prev_salt_(dev.scope_salt_) {
+      prev_salt_(dev.scope_salt_),
+      prev_period_(dev.scope_period_) {
   dev.scope_data_independent_ = data_independent;
   dev.scope_salt_ = salt;
+  dev.scope_period_ = alignment_period;
 }
 
 Device::ReplayScope::~ReplayScope() {
   dev_.scope_data_independent_ = prev_di_;
   dev_.scope_salt_ = prev_salt_;
+  dev_.scope_period_ = prev_period_;
 }
 
 namespace {
@@ -89,32 +92,24 @@ struct StatsReset {
   ~StatsReset() { current_stats() = nullptr; }
 };
 
-/// Run one block: create a lane per device thread, then step the live lanes
-/// in warp order, each to its next barrier or to completion; that boundary
-/// is a phase. With `out` (an empty BlockRun), the block runs instrumented:
-/// every lane's counters are recorded and folded into one PhaseRecord per
-/// phase, appended to `out`. Without it, the block runs functionally only
-/// (what replayed blocks execute): current_stats() stays null, so the
+/// Step a block's (or a group's) lanes in warp order, each to its next
+/// barrier or to completion; that boundary is a phase. With `out` (an empty
+/// BlockRun), the block runs instrumented: every lane's counters are
+/// recorded and folded into one PhaseRecord per phase, appended to `out`,
+/// tagged from `state`. Without it, the lanes run functionally only (what
+/// replayed blocks execute): current_stats() stays null, so the
 /// instrumented device types skip their recording branches, and the
 /// numerics are bit-identical to the instrumented run.
-void run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
-               const KernelFn& body, int block_id, BlockRun* out) {
-  BlockState state;
-  std::vector<BlockCtx> ctxs;
-  ctxs.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads);
-  std::vector<Lane> lanes;
-  lanes.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t) lanes.push_back(body(ctxs[t]));
-
-  std::vector<ThreadStats> stats(out != nullptr ? spec.threads : 0);
+void step_lanes(const DeviceConfig& cfg, std::vector<Lane>& lanes,
+                const BlockState* state, BlockRun* out) {
+  const int threads = static_cast<int>(lanes.size());
+  std::vector<ThreadStats> stats(out != nullptr ? threads : 0);
   FoldScratch scratch;
   fast_math_enabled() = cfg.fast_math;
   const StatsReset reset;
   current_stats() = nullptr;
-  WarpLiveness wl(spec.threads, cfg.warp_size);
-  int alive = spec.threads;
+  WarpLiveness wl(threads, cfg.warp_size);
+  int alive = threads;
   while (alive > 0) {
     for (std::size_t w = 0; w < wl.live.size(); ++w) {
       std::uint32_t mask = wl.live[w];
@@ -134,21 +129,52 @@ void run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
     if (out == nullptr) continue;
     current_stats() = nullptr;
     const bool ended_with_sync = alive > 0;
-    out->phases.push_back(fold_phase(cfg, stats, state.current_tag,
-                                     state.current_panel, ended_with_sync,
+    out->phases.push_back(fold_phase(cfg, stats, state->current_tag,
+                                     state->current_panel, ended_with_sync,
                                      &scratch));
     if (ended_with_sync) ++out->syncs;
     for (ThreadStats& s : stats) s.reset();
   }
+}
+
+/// Run one block, instrumented into `out` or (null) functionally only.
+void run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
+               const KernelFn& body, int block_id, BlockRun* out) {
+  BlockState state;
+  std::vector<BlockCtx> ctxs;
+  ctxs.reserve(spec.threads);
+  for (int t = 0; t < spec.threads; ++t)
+    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads);
+  std::vector<Lane> lanes;
+  lanes.reserve(spec.threads);
+  for (int t = 0; t < spec.threads; ++t) lanes.push_back(body(ctxs[t]));
+  step_lanes(cfg, lanes, &state, out);
   if (out != nullptr) out->shared_bytes = state.shared.total_bytes();
+}
+
+/// Run the kGroupWidth blocks at `blocks` as one replay group, functionally
+/// only.
+void run_group(const DeviceConfig& cfg, const LaunchSpec& spec,
+               const GroupKernelFn& body, const int* blocks) {
+  GroupState state;
+  std::vector<GroupCtx> ctxs;
+  ctxs.reserve(spec.threads);
+  for (int t = 0; t < spec.threads; ++t)
+    ctxs.emplace_back(state, blocks, spec.blocks, t, spec.threads);
+  std::vector<Lane> lanes;
+  lanes.reserve(spec.threads);
+  for (int t = 0; t < spec.threads; ++t) lanes.push_back(body(ctxs[t]));
+  step_lanes(cfg, lanes, nullptr, nullptr);
 }
 
 /// Project the launch's per-phase cycle breakdown into the wall-clock window
 /// of its engine.launch span: slices in execution order, each sized by its
 /// share of the breakdown cycles, on the current thread's track so they nest
-/// under the launch span in the exported timeline.
+/// under the launch span in the exported timeline. A slice that crosses one
+/// of `cuts` (the bounds of the launch's engine.simulate / replay / fold
+/// slices, ascending) is split there, so every piece nests in one of them.
 void emit_phase_slices(const LaunchSpec& spec, const LaunchResult& res,
-                       double span_t0) {
+                       double span_t0, const std::vector<double>& cuts) {
   double total = 0;
   for (const TaggedCycles& s : res.breakdown) total += std::max(0.0, s.cycles);
   if (total <= 0) return;
@@ -156,9 +182,10 @@ void emit_phase_slices(const LaunchSpec& spec, const LaunchResult& res,
   std::stable_sort(slices.begin(), slices.end(), slice_before);
   const double window = obs::trace_now_us() - span_t0;
   double cursor = span_t0;
+  std::size_t cut = 0;
   for (const TaggedCycles& s : slices) {
     if (s.cycles <= 0) continue;
-    const double dur = window * s.cycles / total;
+    const double end = cursor + window * s.cycles / total;
     char name[64];
     if (s.panel >= 0)
       std::snprintf(name, sizeof(name), "phase:%s p%d:%s", to_string(s.tag),
@@ -166,21 +193,37 @@ void emit_phase_slices(const LaunchSpec& spec, const LaunchResult& res,
     else
       std::snprintf(name, sizeof(name), "phase:%s:%s", to_string(s.tag),
                     spec.name.c_str());
-    obs::trace_complete(name, "engine.phase", cursor, dur,
-                        obs::current_track());
-    cursor += dur;
+    while (cursor < end) {
+      while (cut < cuts.size() && cuts[cut] <= cursor) ++cut;
+      const double stop = cut < cuts.size() ? std::min(end, cuts[cut]) : end;
+      obs::trace_complete(name, "engine.phase", cursor, stop - cursor,
+                          obs::current_track());
+      cursor = stop;
+    }
   }
 }
 
 }  // namespace
 
-LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
+LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
+                           const GroupKernelFn& group) {
   REGLA_CHECK_MSG(spec.blocks >= 1, "launch needs at least one block");
   REGLA_CHECK_MSG(spec.threads >= 1 && spec.threads <= cfg_.max_threads_per_block,
                   "threads per block: " << spec.threads);
 
   obs::Span launch_span("engine.launch", "engine");
   const double span_t0 = obs::trace_now_us();
+  // The launch's host-work slices (engine.simulate / engine.replay /
+  // engine.fold) on this thread's track; their bounds, kept in `cuts`, also
+  // split the phase slices. One trace_active() test when tracing is off.
+  const bool tracing = obs::trace_active();
+  std::vector<double> cuts;
+  const auto stage = [&](const char* name, double t0) {
+    const double t1 = obs::trace_now_us();
+    obs::trace_complete(name, "engine", t0, t1 - t0, obs::current_track());
+    cuts.push_back(t0);
+    cuts.push_back(t1);
+  };
 
   // Fault hooks: decided up front, deterministically in (seed, ordinal), so
   // a hostile run replays exactly. The failure throw happens before any
@@ -234,7 +277,8 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
   // Which blocks run instrumented this launch:
   //  - no replay (or verify mode): all of them,
   //  - cache hit: none (all replayed through the fast path),
-  //  - cache miss: representatives {0, 1, last} first; the rest fast if the
+  //  - cache miss: representatives first — one alignment period of leading
+  //    blocks (at least {0, 1}) and the last; the rest fast if the
   //    representatives folded identically, instrumented otherwise.
   // A poisoned launch on a cache miss falls back to full instrumentation
   // and is not cached: the skipped block leaves a hole the uniformity check
@@ -246,39 +290,56 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
 
   std::vector<int> reps;
   if (miss_memoizing) {
-    reps.push_back(0);
-    if (spec.blocks > 1) reps.push_back(1);
-    if (spec.blocks > 2) reps.push_back(spec.blocks - 1);
+    const int lead = std::min(spec.blocks, std::max(2, scope_period_));
+    for (int b = 0; b < lead; ++b) reps.push_back(b);
+    if (spec.blocks > lead) reps.push_back(spec.blocks - 1);
   }
 
   cpu::ThreadPool& pool = cpu::ThreadPool::global();
   const int configured = host_workers_ > 0 ? host_workers_ : pool.workers();
 
   // Run `todo` (block ids), instrumented or fast, serially or on the pool.
+  // The poisoned block is silently skipped. With a group body, fast blocks
+  // run kGroupWidth at a time and the tail one by one.
   const auto execute = [&](const std::vector<int>& todo, bool instrumented) {
-    // A miss of three blocks or fewer has no rest after its representatives.
+    // A miss whose representatives are every block has no rest.
     if (todo.empty()) return;
-    const int workers = std::min(configured, static_cast<int>(todo.size()));
-    const auto one = [&](int b) {
-      if (b == poison_block) return;  // poisoned: silently skipped
+    const double t0 = tracing ? obs::trace_now_us() : 0;
+    std::vector<int> blocks;
+    blocks.reserve(todo.size());
+    for (int b : todo)
+      if (b != poison_block) blocks.push_back(b);
+    const std::size_t groups =
+        instrumented || !group ? 0 : blocks.size() / kGroupWidth;
+    const std::size_t grouped = groups * kGroupWidth;
+    const std::size_t items = groups + (blocks.size() - grouped);
+    if (grouped > 0)
+      obs::counter("engine.replay.grouped_blocks").add(grouped);
+    const auto one = [&](std::size_t item) {
+      if (item < groups) {
+        run_group(cfg_, spec, group, &blocks[item * kGroupWidth]);
+        return;
+      }
+      const int b = blocks[grouped + (item - groups)];
       run_block(cfg_, spec, body, b, instrumented ? &runs[b] : nullptr);
       if (instrumented) instr[static_cast<std::size_t>(b)] = 1;
     };
-    if (workers == 1) {
-      for (int b : todo) one(b);
+    const int workers = std::min(configured, static_cast<int>(items));
+    if (workers <= 1) {
+      for (std::size_t i = 0; i < items; ++i) one(i);
     } else {
       // The process-wide pool, shared with every other Device: each slot
-      // drains the shared counter, so blocks (whose runtimes are skewed)
-      // are scheduled dynamically over however many threads are free — a
-      // busy sibling stream's launch leaves this one fewer helpers, an idle
-      // one more.
+      // drains the shared counter, so work items (whose runtimes are
+      // skewed) are scheduled dynamically over however many threads are
+      // free — a busy sibling stream's launch leaves this one fewer
+      // helpers, an idle one more.
       std::atomic<std::size_t> next{0};
       pool.parallel_for(workers, [&](int) {
-        for (std::size_t i = next.fetch_add(1); i < todo.size();
-             i = next.fetch_add(1))
-          one(todo[i]);
+        for (std::size_t i = next.fetch_add(1); i < items; i = next.fetch_add(1))
+          one(i);
       });
     }
+    if (tracing) stage(instrumented ? "engine.simulate" : "engine.replay", t0);
   };
 
   std::vector<int> all(static_cast<std::size_t>(spec.blocks));
@@ -330,6 +391,9 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
       execute(rest, /*instrumented=*/true);
     }
   }
+
+  // Everything from here to the breakdown folds accounting; no block runs.
+  const double fold_t0 = tracing ? obs::trace_now_us() : 0;
 
   // The accounting for block b: its own instrumented run where one exists,
   // the cached (or representative) run where it was replayed, and the empty
@@ -446,7 +510,10 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     res.breakdown.push_back(TaggedCycles{key.first, static_cast<OpTag>(key.second),
                                          cycles / spec.blocks});
 
-  if (obs::trace_active()) emit_phase_slices(spec, res, span_t0);
+  if (tracing) {
+    stage("engine.fold", fold_t0);
+    emit_phase_slices(spec, res, span_t0, cuts);
+  }
   return res;
 }
 

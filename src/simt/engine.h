@@ -12,6 +12,7 @@
 #include "simt/block_ctx.h"
 #include "simt/device_config.h"
 #include "simt/fault.h"
+#include "simt/group_ctx.h"
 #include "simt/occupancy.h"
 #include "simt/stats.h"
 
@@ -26,6 +27,12 @@ class ReplayCache;
 /// KernelFn alive until every lane of the launch is destroyed. Anything else
 /// a lane refers to must outlive the launch() call.
 using KernelFn = std::function<Lane(BlockCtx&)>;
+
+/// A kernel's replay-group form (simt/group_ctx.h): called once per device
+/// thread of a group, it returns the lane that computes that thread for
+/// kGroupWidth blocks at once. It must compute, for each member, bitwise
+/// what the KernelFn computes for that block; the same lifetime rule holds.
+using GroupKernelFn = std::function<Lane(GroupCtx&)>;
 
 struct LaunchSpec {
   int blocks = 1;
@@ -99,7 +106,14 @@ class Device {
   /// retry-safe), stretch the reported timing, or silently skip one block
   /// (poisoned result). Decisions are deterministic in (seed, launch
   /// ordinal); the ordinal advances on every launch() call, thrown or not.
-  LaunchResult launch(const LaunchSpec& spec, const KernelFn& body);
+  ///
+  /// With a `group` body, the uninstrumented blocks of a replayed launch
+  /// (every block of a cache hit, the non-representative blocks of a
+  /// uniform miss) run kGroupWidth at a time on it; the tail of fewer than
+  /// kGroupWidth, and every instrumented block, run on `body`
+  /// (DESIGN.md §13, "Replay groups").
+  LaunchResult launch(const LaunchSpec& spec, const KernelFn& body,
+                      const GroupKernelFn& group = {});
 
   /// What the fault hooks have injected on this device so far.
   const FaultStats& fault_stats() const { return fault_stats_; }
@@ -127,10 +141,14 @@ class Device {
   /// geometry + salt implies the same folded phases for every block. `salt`
   /// must cover everything geometry alone does not — problem dims, dtype,
   /// plan knobs, DeviceConfig fingerprint, payload base-address alignment
-  /// classes. Scopes nest; the previous scope is restored on destruction.
+  /// classes. `alignment_period` is the number of blocks after which the
+  /// blocks' payload alignment classes repeat (simt/replay.h): a miss
+  /// instruments that many leading blocks, at least two, plus the last.
+  /// Scopes nest; the previous scope is restored on destruction.
   class ReplayScope {
    public:
-    ReplayScope(Device& dev, bool data_independent, std::uint64_t salt);
+    ReplayScope(Device& dev, bool data_independent, std::uint64_t salt,
+                int alignment_period = 1);
     ~ReplayScope();
     ReplayScope(const ReplayScope&) = delete;
     ReplayScope& operator=(const ReplayScope&) = delete;
@@ -139,6 +157,7 @@ class Device {
     Device& dev_;
     bool prev_di_;
     std::uint64_t prev_salt_;
+    int prev_period_;
   };
 
  private:
@@ -148,6 +167,7 @@ class Device {
   bool replay_verify_ = false;          ///< REGLA_REPLAY_VERIFY at construction
   bool scope_data_independent_ = false; ///< set by ReplayScope
   std::uint64_t scope_salt_ = 0;
+  int scope_period_ = 1;                ///< set by ReplayScope
   std::unique_ptr<ReplayCache> replay_cache_;
   std::uint64_t launch_ordinal_ = 0;  ///< fault-stream position (one launch at a time)
   FaultStats fault_stats_;

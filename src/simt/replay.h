@@ -12,16 +12,21 @@
 // numerics still execute — results are exact; only the cycle bookkeeping is
 // memoized).
 //
-// Representatives are blocks {0, 1, last}. For the linear addressing these
-// kernels do (base + block·stride), the per-block DRAM segment pattern is
-// the alignment class (base + block·stride) mod segment; class(0) ==
-// class(1) forces stride ≡ 0 (mod segment), i.e. *every* block matches, so
-// agreement of adjacent representatives is sound, and the last block covers
-// ragged tails (per-thread kernels with count % threads != 0). Anything
-// that still folds differently per block falls back to full instrumentation
-// and is cached as an exact per-block vector instead. REGLA_REPLAY_VERIFY=1
-// re-simulates every block and asserts the replayed accounting matches,
-// phase by phase ("engine.replay.verify_mismatches" stays 0).
+// Representatives are one alignment period of leading blocks (at least
+// {0, 1}) plus the last. For the linear addressing these kernels do
+// (base + block·stride), the per-block DRAM segment pattern is a function
+// of the alignment class (base + block·stride) mod segment, which repeats
+// every segment / gcd(segment, stride) blocks — the period the op layer
+// passes in Device::ReplayScope. So blocks 0..period-1 show every class any
+// block has, and their agreement is sound; the last block covers ragged
+// tails (per-thread kernels with count % threads != 0). (Agreement of
+// blocks 0 and 1 alone is not enough: two classes can give the same segment
+// count, e.g. a 96-byte stride cycles through four classes of which some
+// span one segment and some two.) Anything that still folds differently
+// per block falls back to full instrumentation and is cached as an exact
+// per-block vector instead. REGLA_REPLAY_VERIFY=1 re-simulates every block
+// and asserts the replayed accounting matches, phase by phase
+// ("engine.replay.verify_mismatches" stays 0).
 #pragma once
 
 #include <cstdint>

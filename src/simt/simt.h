@@ -12,9 +12,11 @@
 #include "simt/engine.h"        // IWYU pragma: export
 #include "simt/gfloat.h"        // IWYU pragma: export
 #include "simt/global_mem.h"    // IWYU pragma: export
+#include "simt/group_ctx.h"     // IWYU pragma: export
 #include "simt/lane.h"          // IWYU pragma: export
 #include "simt/occupancy.h"     // IWYU pragma: export
 #include "simt/reg_tile.h"      // IWYU pragma: export
 #include "simt/shared_mem.h"    // IWYU pragma: export
 #include "simt/timing.h"        // IWYU pragma: export
 #include "simt/trace.h"         // IWYU pragma: export
+#include "simt/wide.h"          // IWYU pragma: export

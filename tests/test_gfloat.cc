@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 
 #include "common/rng.h"
 #include "simt/gfloat.h"
+#include "simt/wide.h"
 
 namespace regla::simt {
 namespace {
@@ -120,6 +123,46 @@ TEST(Gcomplex, NoCountingWithoutStats) {
   current_stats() = nullptr;
   gfloat a(1.0f), b(2.0f);
   EXPECT_EQ((a + b).value(), 3.0f);  // must not crash
+}
+
+// gfloat8 is gfloat per element, bit for bit, in both fast-math modes —
+// including infinities, NaNs, signed zeros and subnormals — and select and
+// the comparisons follow each element.
+TEST(Gfloat8, EveryElementIsBitwiseGfloat) {
+  const float special[] = {0.0f, -0.0f, 1.0f, -3.5f, 1e-40f, -1e-40f,
+                           3e38f, INFINITY, -INFINITY, NAN};
+  Rng rng(11);
+  const auto bits = [](float x) {
+    std::uint32_t u;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+  };
+  for (const bool fast : {true, false}) {
+    fast_math_enabled() = fast;
+    for (int round = 0; round < 40; ++round) {
+      gfloat8 a, b, c;
+      for (int g = 0; g < kGroupWidth; ++g) {
+        const int k = round * kGroupWidth + g;
+        a[g] = k < 100 ? special[k % 10] : rng.uniform(-4, 4);
+        b[g] = k < 100 ? special[(k / 10) % 10] : rng.uniform(-4, 4);
+        c[g] = rng.uniform(-4, 4);
+      }
+      const gfloat8 r[] = {a + b, a - b, a * b, a / b, -a, gfma(a, b, c),
+                           gsqrt(a), select(a > b, a, c)};
+      const mask8 eq = a == b, ne = a != b;
+      for (int g = 0; g < kGroupWidth; ++g) {
+        const gfloat x(a[g]), y(b[g]), z(c[g]);
+        const gfloat want[] = {x + y, x - y, x * y, x / y, -x, gfma(x, y, z),
+                               gsqrt(x), x > y ? x : z};
+        for (int op = 0; op < 8; ++op)
+          EXPECT_EQ(bits(r[op][g]), bits(want[op].value()))
+              << "op " << op << " element " << g << " fast " << fast;
+        EXPECT_EQ(eq.m[g], x == y);
+        EXPECT_EQ(ne.m[g], x != y);
+      }
+    }
+  }
+  fast_math_enabled() = true;
 }
 
 }  // namespace

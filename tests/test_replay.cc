@@ -2,10 +2,14 @@
 // device must report bit-identical accounting to a fully-simulated one —
 // numerics, timing, counters — for every data-independent op, with and
 // without injected faults, and REGLA_REPLAY_VERIFY must observe zero
-// mismatches when it re-simulates what the cache replays.
+// mismatches when it re-simulates what the cache replays. Replayed blocks
+// of the real per-block QR family run eight to a lane step (replay groups,
+// simt/group_ctx.h); those results must be bitwise what scalar lanes give.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "common/generators.h"
@@ -47,32 +51,41 @@ void expect_batches_identical(const BatchF& a, const BatchF& b) {
             << "k=" << k << " i=" << i << " j=" << j;
 }
 
+std::uint64_t grouped_blocks() {
+  return obs::counter_value("engine.replay.grouped_blocks");
+}
+
 // Run the paper's op set through two Solvers — one on a replay-enabled
 // device, one fully simulated — twice each (the second replay-device pass
 // hits the cache) and demand bitwise agreement everywhere. Counts include
 // a ragged tail for the per-thread family (37 % threads != 0) and
-// multi-block per-block launches.
+// multi-block per-block launches. The grouped launchers' cases hit with at
+// least two full replay groups plus a tail.
 void run_op_sweep(simt::Device& replay_dev, simt::Device& full_dev) {
   Solver sr(replay_dev);
   Solver sf(full_dev);
 
   struct Case {
     planner::Op op;
-    int n;
+    int m, n;
     int count;
+    bool per_block = false;  ///< the plan must be per-block (grouped)
   };
   const Case cases[] = {
-      {planner::Op::qr, 8, 37},    // per-thread, ragged last block
-      {planner::Op::qr, 32, 9},    // per-block, ragged vs SM count
-      {planner::Op::lu, 32, 8},
-      {planner::Op::cholesky, 24, 8},
-      {planner::Op::trsm, 48, 6},
+      {planner::Op::qr, 8, 8, 37},                     // per-thread, ragged
+      {planner::Op::qr, 32, 32, 9},                    // per-block, ragged vs SMs
+      {planner::Op::qr, 32, 32, 19, true},             // 2 groups + 3
+      {planner::Op::least_squares, 32, 16, 17, true},  // 2 groups + 1
+      {planner::Op::solve_qr, 24, 24, 19, true},       // 2 groups + 3
+      {planner::Op::lu, 32, 32, 8},
+      {planner::Op::cholesky, 24, 24, 8},
+      {planner::Op::trsm, 48, 48, 6},
   };
   for (const Case& c : cases) {
     for (int pass = 0; pass < 2; ++pass) {
       const std::uint64_t seed = 100 * c.n + c.count + pass;
-      BatchF ar(c.count, c.n, c.n), af(c.count, c.n, c.n);
-      BatchF br(c.count, c.n, 1), bf(c.count, c.n, 1);
+      BatchF ar(c.count, c.m, c.n), af(c.count, c.m, c.n);
+      BatchF br(c.count, c.m, 1), bf(c.count, c.m, 1);
       if (c.op == planner::Op::cholesky || c.op == planner::Op::trsm) {
         fill_spd(ar, seed);
         fill_spd(af, seed);
@@ -88,6 +101,14 @@ void run_op_sweep(simt::Device& replay_dev, simt::Device& full_dev) {
         case planner::Op::qr:
           rr = sr.qr(ar);
           rf = sf.qr(af);
+          break;
+        case planner::Op::least_squares:
+          rr = sr.least_squares(ar, br);
+          rf = sf.least_squares(af, bf);
+          break;
+        case planner::Op::solve_qr:
+          rr = sr.solve(ar, br);
+          rf = sf.solve(af, bf);
           break;
         case planner::Op::lu:
           rr = sr.lu(ar);
@@ -106,15 +127,19 @@ void run_op_sweep(simt::Device& replay_dev, simt::Device& full_dev) {
         default:
           FAIL();
       }
+      if (c.per_block) {
+        EXPECT_EQ(rr.plan.approach, core::Approach::per_block);
+      }
       expect_reports_identical(rr, rf);
       expect_batches_identical(ar, af);
-      if (c.op == planner::Op::trsm) expect_batches_identical(br, bf);
+      expect_batches_identical(br, bf);
     }
   }
 }
 
 TEST(ReplayVerify, ReplayedAccountingBitwiseEqualsFullSim) {
   const std::uint64_t hits0 = obs::counter_value("engine.replay.hits");
+  const std::uint64_t grouped0 = grouped_blocks();
   simt::Device replay_dev;
   replay_dev.set_replay(true);
   simt::Device full_dev;
@@ -124,8 +149,10 @@ TEST(ReplayVerify, ReplayedAccountingBitwiseEqualsFullSim) {
   run_op_sweep(replay_dev, full_dev);
 
   // The second pass of every case repeats (kernel, geometry, salt): the
-  // cache must actually be replaying, not silently missing.
+  // cache must actually be replaying, not silently missing — and the
+  // grouped launchers' replayed blocks must have run as groups.
   EXPECT_GT(obs::counter_value("engine.replay.hits"), hits0);
+  EXPECT_GT(grouped_blocks(), grouped0);
 }
 
 // REGLA_REPLAY_VERIFY=1 (read at Device construction) re-simulates every
@@ -153,9 +180,10 @@ TEST(ReplayVerify, VerifyModeObservesZeroMismatches) {
 
 // Fault decisions key on the launch ordinal, never on whether blocks were
 // simulated or replayed: a faulty device must produce the same fault
-// sequence, the same accounting, and the same results either way.
+// sequence, the same accounting, and the same results either way. The sweep
+// runs twice: with replay groups (a poisoned block drops out of the group
+// it would have joined), then under verify mode, which runs none.
 TEST(ReplayVerify, FaultDecisionsIdenticalUnderReplay) {
-  ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
   const std::uint64_t mism0 =
       obs::counter_value("engine.replay.verify_mismatches");
   simt::DeviceConfig cfg;
@@ -163,22 +191,146 @@ TEST(ReplayVerify, FaultDecisionsIdenticalUnderReplay) {
   cfg.faults.poisoned_result_rate = 0.5;   // every other launch skips a block
   cfg.faults.latency_spike_rate = 0.25;
   cfg.faults.latency_spike_multiplier = 4.0;
+  for (const bool verify : {false, true}) {
+    if (verify) ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
+    const std::uint64_t grouped0 = grouped_blocks();
+    {
+      simt::Device replay_dev(cfg);
+      replay_dev.set_replay(true);
+      simt::Device full_dev(cfg);
+      if (!replay_dev.replay_enabled()) {
+        ::unsetenv("REGLA_REPLAY_VERIFY");
+        GTEST_SKIP() << "REGLA_REPLAY=0 set";
+      }
+      run_op_sweep(replay_dev, full_dev);
+      EXPECT_GT(replay_dev.fault_stats().poisoned_launches, 0u);
+      EXPECT_EQ(replay_dev.fault_stats().poisoned_launches,
+                full_dev.fault_stats().poisoned_launches);
+      EXPECT_EQ(replay_dev.fault_stats().latency_spikes,
+                full_dev.fault_stats().latency_spikes);
+    }
+    ::unsetenv("REGLA_REPLAY_VERIFY");
+    if (verify)
+      EXPECT_EQ(grouped_blocks(), grouped0);
+    else
+      EXPECT_GT(grouped_blocks(), grouped0);
+  }
+  EXPECT_EQ(obs::counter_value("engine.replay.verify_mismatches"), mism0);
+}
+
+// A payload whose per-problem stride is not a multiple of the DRAM segment
+// puts blocks in several alignment classes: 24x24 QR solves keep their
+// right-hand sides 96 B apart, which cycles through four classes of a
+// 128-byte segment. With the right-hand sides based at every 16-byte class,
+// a replay miss must instrument a block of each class it replays, so
+// verify mode sees no block diverge from the representatives and no hit
+// diverge from the cache.
+TEST(ReplayVerify, RepresentativesCoverEveryAlignmentClass) {
+  ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
+  const std::uint64_t mism0 =
+      obs::counter_value("engine.replay.verify_mismatches");
   {
-    simt::Device replay_dev(cfg);
+    simt::Device replay_dev;
     replay_dev.set_replay(true);
-    simt::Device full_dev(cfg);
     if (!replay_dev.replay_enabled()) {
       ::unsetenv("REGLA_REPLAY_VERIFY");
       GTEST_SKIP() << "REGLA_REPLAY=0 set";
     }
-    run_op_sweep(replay_dev, full_dev);
-    EXPECT_EQ(replay_dev.fault_stats().poisoned_launches,
-              full_dev.fault_stats().poisoned_launches);
-    EXPECT_EQ(replay_dev.fault_stats().latency_spikes,
-              full_dev.fault_stats().latency_spikes);
+    Solver sr(replay_dev);
+    constexpr int kCount = 19, kN = 24;
+    const std::uintptr_t seg = replay_dev.config().dram_segment_bytes;
+    std::vector<float> storage(kCount * kN + seg);
+    for (std::uintptr_t cls = 0; cls < seg; cls += 16) {
+      float* rhs = storage.data();
+      while (reinterpret_cast<std::uintptr_t>(rhs) % seg != cls) ++rhs;
+      for (int pass = 0; pass < 2; ++pass) {
+        BatchF a(kCount, kN, kN);
+        fill_uniform(a, 900 + cls + pass);
+        BatchF b = BatchF::borrow(rhs, kCount, kN, 1);
+        fill_uniform(b, 950 + cls + pass);
+        EXPECT_NO_THROW(sr.solve(a, b)) << "rhs class " << cls;
+      }
+    }
   }
   ::unsetenv("REGLA_REPLAY_VERIFY");
   EXPECT_EQ(obs::counter_value("engine.replay.verify_mismatches"), mism0);
+}
+
+// A replay group runs one schedule for eight problems, but the reflector's
+// skip branch (a column already zero below the diagonal) depends on each
+// problem's values: every member must take its own branch. Problems 5 and
+// 11 skip column 0; both land in a group on the hit pass (0-7, 8-15) and 5
+// on the miss pass (2-9). Numerics only: the skip branch counts fewer
+// operations, which replay's uniform accounting does not see (DESIGN.md
+// §13, "Known limitation").
+TEST(ReplayVerify, GroupMembersTakeTheirOwnReflectorBranch) {
+  simt::Device replay_dev;
+  replay_dev.set_replay(true);
+  simt::Device full_dev;
+  if (!replay_dev.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  Solver sr(replay_dev);
+  Solver sf(full_dev);
+  const std::uint64_t grouped0 = grouped_blocks();
+  for (int pass = 0; pass < 2; ++pass) {
+    BatchF ar(16, 32, 32);
+    fill_uniform(ar, 500 + pass);
+    for (int k : {5, 11})
+      for (int i = 1; i < 32; ++i) ar.at(k, i, 0) = 0.0f;
+    BatchF af = ar;
+    BatchF tr, tf;
+    const SolveReport rr = sr.qr(ar, &tr);
+    sf.qr(af, &tf);
+    ASSERT_EQ(rr.plan.approach, core::Approach::per_block);
+    expect_batches_identical(ar, af);
+    expect_batches_identical(tr, tf);
+    for (int k : {5, 11}) EXPECT_EQ(tr.at(k, 0, 0), 0.0f) << k;  // skipped
+    EXPECT_NE(tr.at(4, 0, 0), 0.0f);
+  }
+  EXPECT_GT(grouped_blocks(), grouped0);
+}
+
+// Two Devices launch grouped replays from two threads at once, on the one
+// host pool every Device shares: results stay bitwise what full simulation
+// gives.
+TEST(ReplayVerify, ConcurrentGroupedLaunchesMatchFullSim) {
+  constexpr int kThreads = 2;
+  constexpr int kPasses = 3;
+  const auto input = [](int t, int pass) {
+    BatchF a(24, 32, 32);
+    fill_uniform(a, static_cast<std::uint64_t>(700 + 10 * t + pass));
+    return a;
+  };
+  std::vector<BatchF> want;
+  {
+    simt::Device full_dev;
+    Solver sf(full_dev);
+    for (int t = 0; t < kThreads; ++t)
+      for (int pass = 0; pass < kPasses; ++pass) {
+        want.push_back(input(t, pass));
+        sf.qr(want.back());
+      }
+  }
+  const std::uint64_t grouped0 = grouped_blocks();
+  std::vector<BatchF> got(want.size());
+  std::vector<int> enabled(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      simt::Device dev;
+      dev.set_replay(true);
+      enabled[t] = dev.replay_enabled() ? 1 : 0;
+      Solver s(dev);
+      for (int pass = 0; pass < kPasses; ++pass) {
+        BatchF a = input(t, pass);
+        s.qr(a);
+        got[static_cast<std::size_t>(t * kPasses + pass)] = std::move(a);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  if (enabled[0] == 0) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  for (std::size_t i = 0; i < want.size(); ++i)
+    expect_batches_identical(got[i], want[i]);
+  EXPECT_GT(grouped_blocks(), grouped0);
 }
 
 // The REGLA_REPLAY=0 kill switch wins over any opt-in.
