@@ -19,12 +19,14 @@
 # Last, the serving benchmark (hostbench/, its own CMake project over src/)
 # is built and its unit tests run (`python3 hostbench/run.py --test`, build
 # tree under .bench_build/hostbench). No other gate compiles it, so a change
-# to a header it includes that breaks its build fails here. Two one-second
-# serving runs follow, qr32_closed and mixed_open: the oracle pass over
-# grouped replay (DESIGN.md §13). The REGLA_REPLAY_VERIFY=1 pass above
-# re-simulates every hit, so it never runs replay groups; these runs do, at
-# serving scale, and hostbench checks every result against the cpu oracle
-# (exit status 1 on a wrong, non-finite, not_solved or hung result).
+# to a header it includes that breaks its build fails here. Three one-second
+# serving runs follow, qr32_closed, mixed_open and qr8_closed: the oracle
+# pass over replay hits (DESIGN.md §13), per-block ones in replay groups and
+# per-thread ones, each with its memoized fold. The REGLA_REPLAY_VERIFY=1
+# pass above re-simulates every hit, so it never runs replay groups or
+# copies a memo; these runs do, at serving scale, and hostbench checks every
+# result against the cpu oracle (exit status 1 on a wrong, non-finite,
+# not_solved or hung result).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,8 +130,8 @@ python3 scripts/check_alloc_budget.py \
 # The serving benchmark builds against the current src/ and its tests pass.
 echo "== hostbench build + unit tests"
 python3 hostbench/run.py --test
-for w in qr32_closed mixed_open; do
-  echo "== hostbench $w (1 s oracle pass over grouped replay)"
+for w in qr32_closed mixed_open qr8_closed; do
+  echo "== hostbench $w (1 s oracle pass over replay hits)"
   python3 hostbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
 done
 

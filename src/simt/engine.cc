@@ -203,6 +203,96 @@ void emit_phase_slices(const LaunchSpec& spec, const LaunchResult& res,
   }
 }
 
+/// The engine's obs instruments, each looked up once per process:
+/// obs::counter takes the registry mutex and builds a key on every call.
+/// obs::reset_all zeroes instruments but never removes them, so the
+/// references stay valid.
+struct EngineCounters {
+  obs::Counter& hits = obs::counter("engine.replay.hits");
+  obs::Counter& misses = obs::counter("engine.replay.misses");
+  obs::Counter& grouped_blocks = obs::counter("engine.replay.grouped_blocks");
+  obs::Counter& blocks_replayed = obs::counter("engine.replay.blocks_replayed");
+  obs::Counter& blocks_simulated =
+      obs::counter("engine.replay.blocks_simulated");
+  obs::Counter& nonuniform = obs::counter("engine.replay.nonuniform");
+  obs::Counter& folds_reused = obs::counter("engine.replay.folds_reused");
+  obs::Counter& verify_blocks = obs::counter("engine.replay.verify_blocks");
+  obs::Counter& verify_mismatches =
+      obs::counter("engine.replay.verify_mismatches");
+  obs::Counter& addr_truncations = obs::counter("engine.addr_truncations");
+  obs::Counter& launch_failures = obs::counter("engine.fault.launch_failures");
+  obs::Counter& poisoned_launches =
+      obs::counter("engine.fault.poisoned_launches");
+  obs::Counter& latency_spikes = obs::counter("engine.fault.latency_spikes");
+};
+
+EngineCounters& engine_counters() {
+  static EngineCounters counters;
+  return counters;
+}
+
+/// Fold a launch's accounting from each block's run, `view(b)`: occupancy
+/// from the declared register demand and the *measured* shared usage (the
+/// engine knows exactly what the kernel allocated), every phase priced
+/// against the resident blocks, the chip time before any latency spike, the
+/// totals and the per-(panel, tag) breakdown.
+template <typename View>
+LaunchResult fold_launch(const DeviceConfig& cfg, const LaunchSpec& spec,
+                         const View& view) {
+  std::size_t shared_bytes = 0;
+  for (int b = 0; b < spec.blocks; ++b)
+    shared_bytes = std::max(shared_bytes, view(b).shared_bytes);
+  const Occupancy occ = occupancy(cfg, spec.threads, spec.regs_per_thread,
+                                  shared_bytes);
+  // Contention inside an SM comes from blocks actually resident, which a
+  // small launch may not have enough of.
+  const int k_resident = std::min(
+      occ.blocks_per_sm, (spec.blocks + cfg.num_sm - 1) / cfg.num_sm);
+
+  LaunchResult res;
+  res.blocks_per_sm = occ.blocks_per_sm;
+  res.occupancy_limiter = occ.limiter;
+  res.shared_bytes_per_block = shared_bytes;
+  res.waves = (spec.blocks + occ.blocks_per_sm * cfg.num_sm - 1) /
+              (occ.blocks_per_sm * cfg.num_sm);
+
+  std::vector<double> block_times;
+  block_times.reserve(spec.blocks);
+  std::map<std::pair<int, int>, double> tagged;  // (panel, tag) -> cycles
+  std::uint64_t dram_bytes = 0;
+  for (int b = 0; b < spec.blocks; ++b) {
+    const BlockRun& r = view(b);
+    double t = 0;
+    for (const PhaseRecord& p : r.phases) {
+      const double c = phase_cycles(cfg, p, k_resident, spec.threads);
+      t += c;
+      tagged[{p.panel, static_cast<int>(p.tag)}] += c;
+      res.totals.flops += p.flops;
+      res.totals.divs += p.divs;
+      res.totals.sqrts += p.sqrts;
+      res.totals.spill_bytes += p.spill_bytes;
+      dram_bytes += p.gl_bytes;
+      res.totals.sh_accesses += static_cast<std::uint64_t>(p.sh_transactions);
+      if (p.addrs_truncated) ++res.totals.addr_truncations;
+    }
+    res.totals.syncs += r.syncs;
+    block_times.push_back(t);
+  }
+  res.totals.gl_bytes = dram_bytes;
+
+  res.chip_cycles = chip_cycles(cfg, block_times, k_resident, dram_bytes);
+  res.seconds = res.chip_cycles / (cfg.clock_ghz * 1e9);
+  double sum = 0;
+  for (double t : block_times) sum += t;
+  res.block_cycles_avg = sum / static_cast<double>(block_times.size());
+
+  res.breakdown.reserve(tagged.size());
+  for (const auto& [key, cycles] : tagged)
+    res.breakdown.push_back(TaggedCycles{key.first, static_cast<OpTag>(key.second),
+                                         cycles / spec.blocks});
+  return res;
+}
+
 }  // namespace
 
 LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
@@ -228,6 +318,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
   // Fault hooks: decided up front, deterministically in (seed, ordinal), so
   // a hostile run replays exactly. The failure throw happens before any
   // block executes — the payload is untouched and the launch is retry-safe.
+  EngineCounters& counters = engine_counters();
   const std::uint64_t ordinal = launch_ordinal_++;
   int poison_block = -1;
   bool spike = false;
@@ -237,7 +328,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
     if (fi.launch_failure_rate > 0 &&
         detail::fault_draw(fi.seed, ordinal, 0) < fi.launch_failure_rate) {
       ++fault_stats_.launch_failures;
-      obs::counter("engine.fault.launch_failures").add();
+      counters.launch_failures.add();
       std::ostringstream os;
       os << "injected transient launch failure: kernel '" << spec.name
          << "' launch #" << ordinal << " (seed " << fi.seed << ")";
@@ -248,13 +339,13 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
       poison_block =
           static_cast<int>(ordinal % static_cast<std::uint64_t>(spec.blocks));
       ++fault_stats_.poisoned_launches;
-      obs::counter("engine.fault.poisoned_launches").add();
+      counters.poisoned_launches.add();
     }
     if (fi.latency_spike_rate > 0 &&
         detail::fault_draw(fi.seed, ordinal, 2) < fi.latency_spike_rate) {
       spike = true;
       ++fault_stats_.latency_spikes;
-      obs::counter("engine.fault.latency_spikes").add();
+      counters.latency_spikes.add();
     }
   }
 
@@ -269,8 +360,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
     key = ReplayKey{spec.name, spec.blocks, spec.threads, spec.regs_per_thread,
                     scope_salt_};
     hit = replay_cache_->find(key);
-    obs::counter(hit != nullptr ? "engine.replay.hits" : "engine.replay.misses")
-        .add();
+    (hit != nullptr ? counters.hits : counters.misses).add();
   }
   const bool verify = hit != nullptr && replay_verify_;
 
@@ -313,8 +403,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
         instrumented || !group ? 0 : blocks.size() / kGroupWidth;
     const std::size_t grouped = groups * kGroupWidth;
     const std::size_t items = groups + (blocks.size() - grouped);
-    if (grouped > 0)
-      obs::counter("engine.replay.grouped_blocks").add(grouped);
+    if (grouped > 0) counters.grouped_blocks.add(grouped);
     const auto one = [&](std::size_t item) {
       if (item < groups) {
         run_group(cfg_, spec, group, &blocks[item * kGroupWidth]);
@@ -367,12 +456,11 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
       execute(rest, /*instrumented=*/replay_verify_);
       if (replay_verify_) {
         std::uint64_t mismatches = 0;
-        for (int b : rest) {
-          obs::counter("engine.replay.verify_blocks").add();
+        for (int b : rest)
           if (!(runs[b] == runs[reps[0]])) ++mismatches;
-        }
+        counters.verify_blocks.add(rest.size());
         if (mismatches > 0) {
-          obs::counter("engine.replay.verify_mismatches").add(mismatches);
+          counters.verify_mismatches.add(mismatches);
           REGLA_CHECK_MSG(false,
                           "replay verify: kernel '"
                               << spec.name << "' blocks=" << spec.blocks
@@ -383,7 +471,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
         }
       }
     } else {
-      obs::counter("engine.replay.nonuniform").add();
+      counters.nonuniform.add();
       std::vector<int> rest;
       rest.reserve(all.size());
       for (int b : all)
@@ -412,22 +500,22 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
     (instr[static_cast<std::size_t>(b)] != 0 ? simulated : replayed) += 1;
   }
   if (replay_active) {
-    if (replayed > 0) obs::counter("engine.replay.blocks_replayed").add(replayed);
-    if (simulated > 0)
-      obs::counter("engine.replay.blocks_simulated").add(simulated);
+    if (replayed > 0) counters.blocks_replayed.add(replayed);
+    if (simulated > 0) counters.blocks_simulated.add(simulated);
   }
 
   // Verify mode: every block was fully simulated above; assert the cached
   // accounting the hit would have replayed matches it, phase by phase.
   if (verify) {
-    std::uint64_t mismatches = 0;
+    std::uint64_t checked = 0, mismatches = 0;
     for (int b = 0; b < spec.blocks; ++b) {
       if (b == poison_block) continue;
-      obs::counter("engine.replay.verify_blocks").add();
+      ++checked;
       if (!(runs[b] == hit->run_for(b))) ++mismatches;
     }
+    counters.verify_blocks.add(checked);
     if (mismatches > 0) {
-      obs::counter("engine.replay.verify_mismatches").add(mismatches);
+      counters.verify_mismatches.add(mismatches);
       REGLA_CHECK_MSG(false, "replay verify: kernel '"
                                  << spec.name << "' blocks=" << spec.blocks
                                  << " threads=" << spec.threads << ": "
@@ -437,78 +525,47 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body,
     }
   }
 
+  // The launch's accounting before its latency spike. An unpoisoned hit
+  // copies the entry's memoized fold, which depends on nothing the key does
+  // not cover; a poisoned one folds its hole like full simulation does, and
+  // under verify mode an unpoisoned hit folds its re-simulated blocks and
+  // must reproduce the memo exactly, field by field.
+  const bool memo_hit = hit != nullptr && poison_block < 0;
+  LaunchResult res;
+  if (memo_hit && !verify) {
+    res = hit->fold;
+    counters.folds_reused.add();
+  } else {
+    res = fold_launch(cfg_, spec, view);
+  }
+  if (memo_hit && verify && res != hit->fold) {
+    counters.verify_mismatches.add();
+    REGLA_CHECK_MSG(false, "replay verify: kernel '"
+                               << spec.name << "' blocks=" << spec.blocks
+                               << " threads=" << spec.threads
+                               << ": the folded accounting diverged from the "
+                                  "cached fold (REGLA_REPLAY_VERIFY)");
+  }
+  if (res.totals.addr_truncations > 0)
+    counters.addr_truncations.add(res.totals.addr_truncations);
+
   // Memoize what this launch learned (miss path only; a verify launch's key
   // is already cached).
   if (miss_memoizing) {
     ReplayEntry entry;
     entry.uniform = cache_uniform;
-    std::size_t max_shared = 0;
-    for (int b = 0; b < spec.blocks; ++b)
-      max_shared = std::max(max_shared, view(b).shared_bytes);
-    entry.shared_bytes = max_shared;
     if (cache_uniform)
       entry.rep = runs[reps[0]];
     else
       entry.per_block = runs;
+    entry.fold = res;
     replay_cache_->put(key, std::move(entry));
   }
 
-  // Occupancy from the declared register demand and the *measured* shared
-  // usage (the engine knows exactly what the kernel allocated).
-  std::size_t shared_bytes = 0;
-  for (int b = 0; b < spec.blocks; ++b)
-    shared_bytes = std::max(shared_bytes, view(b).shared_bytes);
-  const Occupancy occ = occupancy(cfg_, spec.threads, spec.regs_per_thread,
-                                  shared_bytes);
-  // Contention inside an SM comes from blocks actually resident, which a
-  // small launch may not have enough of.
-  const int k_resident = std::min(
-      occ.blocks_per_sm, (spec.blocks + cfg_.num_sm - 1) / cfg_.num_sm);
-
-  LaunchResult res;
-  res.blocks_per_sm = occ.blocks_per_sm;
-  res.occupancy_limiter = occ.limiter;
-  res.shared_bytes_per_block = shared_bytes;
-  res.waves = (spec.blocks + occ.blocks_per_sm * cfg_.num_sm - 1) /
-              (occ.blocks_per_sm * cfg_.num_sm);
-
-  std::vector<double> block_times;
-  block_times.reserve(spec.blocks);
-  std::map<std::pair<int, int>, double> tagged;  // (panel, tag) -> cycles
-  std::uint64_t dram_bytes = 0;
-  for (int b = 0; b < spec.blocks; ++b) {
-    const BlockRun& r = view(b);
-    double t = 0;
-    for (const PhaseRecord& p : r.phases) {
-      const double c = phase_cycles(cfg_, p, k_resident, spec.threads);
-      t += c;
-      tagged[{p.panel, static_cast<int>(p.tag)}] += c;
-      res.totals.flops += p.flops;
-      res.totals.divs += p.divs;
-      res.totals.sqrts += p.sqrts;
-      res.totals.spill_bytes += p.spill_bytes;
-      dram_bytes += p.gl_bytes;
-      res.totals.sh_accesses += static_cast<std::uint64_t>(p.sh_transactions);
-      if (p.addrs_truncated) ++res.totals.addr_truncations;
-    }
-    res.totals.syncs += r.syncs;
-    block_times.push_back(t);
+  if (spike) {
+    res.chip_cycles *= cfg_.faults.latency_spike_multiplier;
+    res.seconds = res.chip_cycles / (cfg_.clock_ghz * 1e9);
   }
-  res.totals.gl_bytes = dram_bytes;
-  if (res.totals.addr_truncations > 0)
-    obs::counter("engine.addr_truncations").add(res.totals.addr_truncations);
-
-  res.chip_cycles = chip_cycles(cfg_, block_times, k_resident, dram_bytes);
-  if (spike) res.chip_cycles *= cfg_.faults.latency_spike_multiplier;
-  res.seconds = res.chip_cycles / (cfg_.clock_ghz * 1e9);
-  double sum = 0;
-  for (double t : block_times) sum += t;
-  res.block_cycles_avg = sum / static_cast<double>(block_times.size());
-
-  res.breakdown.reserve(tagged.size());
-  for (const auto& [key, cycles] : tagged)
-    res.breakdown.push_back(TaggedCycles{key.first, static_cast<OpTag>(key.second),
-                                         cycles / spec.blocks});
 
   if (tracing) {
     stage("engine.fold", fold_t0);

@@ -24,9 +24,16 @@
 // count, e.g. a 96-byte stride cycles through four classes of which some
 // span one segment and some two.) Anything that still folds differently
 // per block falls back to full instrumentation and is cached as an exact
-// per-block vector instead. REGLA_REPLAY_VERIFY=1 re-simulates every block
-// and asserts the replayed accounting matches, phase by phase
-// ("engine.replay.verify_mismatches" stays 0).
+// per-block vector instead.
+//
+// The launch's folded accounting (its LaunchResult: occupancy, per-block
+// timing, chip time, totals, breakdown) is a function of those runs and
+// the device config alone, so each entry memoizes it too: the miss that
+// creates the entry stores its fold before any latency spike, and every
+// unpoisoned hit copies it instead of re-pricing every phase of every
+// block. REGLA_REPLAY_VERIFY=1 re-simulates every block, asserts the
+// replayed accounting matches phase by phase, and asserts the re-folded
+// result matches the memo ("engine.replay.verify_mismatches" stays 0).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "simt/launch_result.h"
 #include "simt/stats.h"
 
 namespace regla::simt {
@@ -86,12 +94,13 @@ struct ReplayKeyHash {
 /// One memoized launch shape. `uniform` entries hold a single representative
 /// BlockRun every block replays; non-uniform entries hold the exact
 /// per-block vector (the conservative fallback when representatives
-/// disagreed).
+/// disagreed). `fold` is what Device::launch folds from those runs, before
+/// any latency spike; it is valid exactly as long as the runs are.
 struct ReplayEntry {
   bool uniform = false;
   BlockRun rep;                      ///< valid when uniform
   std::vector<BlockRun> per_block;   ///< valid when !uniform
-  std::size_t shared_bytes = 0;      ///< max over blocks, for occupancy
+  LaunchResult fold;
 
   const BlockRun& run_for(int block) const {
     return uniform ? rep : per_block[static_cast<std::size_t>(block)];

@@ -181,6 +181,8 @@ struct LaunchCounters {
   /// Phases whose address logs overflowed ThreadStats::kAddrCap (their
   /// bank-conflict / coalescing estimates are sampled, not exhaustive).
   std::uint64_t addr_truncations = 0;
+
+  friend bool operator==(const LaunchCounters&, const LaunchCounters&) = default;
 };
 
 }  // namespace regla::simt

@@ -136,6 +136,62 @@ TEST(PlanCache, DeviceReconfigurationInvalidates) {
   EXPECT_EQ(p.stats().plans_built, 2u);
 }
 
+// The fingerprint keys the plan cache and salts every replay key, so a
+// DeviceConfig field it left out would let a plan, a replay entry's cached
+// runs and its memoized fold go stale without a miss. Perturb each
+// non-fault field in turn: the fingerprint must change. Fault injection is
+// left out on purpose (plans and accounting do not depend on it; spikes
+// and poison are applied per launch).
+TEST(PlanCache, FingerprintCoversEveryNonFaultConfigField) {
+  using Cfg = simt::DeviceConfig;
+#define PERTURB(field) {#field, [](Cfg& c) { c.field += 1; }}
+  const std::vector<std::pair<const char*, void (*)(Cfg&)>> perturbations = {
+      PERTURB(num_sm), PERTURB(fpus_per_sm), PERTURB(clock_ghz),
+      PERTURB(max_regs_per_thread), PERTURB(reg_overhead_per_thread),
+      PERTURB(regfile_words_per_sm), PERTURB(shared_bytes_per_sm),
+      PERTURB(max_blocks_per_sm), PERTURB(max_threads_per_sm),
+      PERTURB(max_threads_per_block), PERTURB(warp_size),
+      PERTURB(shared_banks), PERTURB(dram_peak_gbs),
+      PERTURB(dram_achievable_gbs), PERTURB(dram_segment_bytes),
+      PERTURB(global_latency_cycles), PERTURB(l2_bytes),
+      PERTURB(l2_line_bytes), PERTURB(l2_hit_latency_cycles),
+      PERTURB(dram_row_bytes), PERTURB(row_hit_discount_cycles),
+      PERTURB(line_hit_discount_cycles), PERTURB(tlb_entries),
+      PERTURB(tlb_page_bytes), PERTURB(tlb_miss_penalty_cycles),
+      PERTURB(shared_latency_cycles), PERTURB(shared_cycles_per_transaction),
+      PERTURB(shared_efficiency), PERTURB(fp_pipeline_cycles),
+      PERTURB(fast_div_cycles), PERTURB(fast_sqrt_cycles),
+      PERTURB(full_div_cycles), PERTURB(full_sqrt_cycles),
+      PERTURB(sfu_issue_cycles_per_op), PERTURB(full_div_issue_instrs),
+      PERTURB(full_sqrt_issue_instrs), PERTURB(l1_latency_cycles),
+      PERTURB(l1_cycles_per_access), PERTURB(sync_base_cycles),
+      PERTURB(sync_cycles_per_warp), PERTURB(dram_overlap_factor),
+      {"fast_math", [](Cfg& c) { c.fast_math = !c.fast_math; }},
+  };
+#undef PERTURB
+  EXPECT_EQ(perturbations.size(), 42u);
+  const std::uint64_t base = Planner::config_fingerprint(quadro());
+  for (const auto& [field, perturb] : perturbations) {
+    Cfg cfg = quadro();
+    perturb(cfg);
+    EXPECT_NE(Planner::config_fingerprint(cfg), base) << field;
+  }
+
+  Cfg hostile = quadro();
+  hostile.faults.seed = 7;
+  hostile.faults.launch_failure_rate = 0.1;
+  hostile.faults.latency_spike_rate = 0.2;
+  hostile.faults.latency_spike_multiplier = 3;
+  hostile.faults.poisoned_result_rate = 0.3;
+  EXPECT_EQ(Planner::config_fingerprint(hostile), base);
+
+  // Tripwire: a new DeviceConfig field changes its size. Mix the field into
+  // Planner::config_fingerprint (or state why it is left out, as for
+  // faults), add it to the list above, then update this size (x86-64).
+  EXPECT_EQ(sizeof(Cfg), 320u)
+      << "DeviceConfig changed: update config_fingerprint and this test";
+}
+
 TEST(PlanCache, EvictsLeastRecentlyUsed) {
   Planner p(/*cache_capacity=*/2);
   const auto cfg = quadro();

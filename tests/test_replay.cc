@@ -5,14 +5,21 @@
 // mismatches when it re-simulates what the cache replays. Replayed blocks
 // of the real per-block QR family run eight to a lane step (replay groups,
 // simt/group_ctx.h); those results must be bitwise what scalar lanes give.
+// A replay hit copies its entry's memoized LaunchResult instead of folding
+// the blocks' accounting; that copy must be bitwise what full simulation
+// folds, in every field.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/generators.h"
+#include "core/per_block.h"
+#include "core/per_thread.h"
 #include "obs/metrics.h"
 #include "planner/solver.h"
 #include "simt/engine.h"
@@ -53,6 +60,35 @@ void expect_batches_identical(const BatchF& a, const BatchF& b) {
 
 std::uint64_t grouped_blocks() {
   return obs::counter_value("engine.replay.grouped_blocks");
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// Every LaunchResult field, the doubles by bit pattern. SolveReport has no
+// breakdown, so expect_reports_identical cannot see a wrong memo there.
+void expect_launches_identical(const simt::LaunchResult& a,
+                               const simt::LaunchResult& b) {
+  EXPECT_EQ(bits(a.chip_cycles), bits(b.chip_cycles));
+  EXPECT_EQ(bits(a.seconds), bits(b.seconds));
+  EXPECT_EQ(bits(a.block_cycles_avg), bits(b.block_cycles_avg));
+  EXPECT_EQ(a.blocks_per_sm, b.blocks_per_sm);
+  EXPECT_EQ(a.occupancy_limiter, b.occupancy_limiter);
+  EXPECT_EQ(a.waves, b.waves);
+  EXPECT_EQ(a.shared_bytes_per_block, b.shared_bytes_per_block);
+  EXPECT_EQ(a.totals.flops, b.totals.flops);
+  EXPECT_EQ(a.totals.divs, b.totals.divs);
+  EXPECT_EQ(a.totals.sqrts, b.totals.sqrts);
+  EXPECT_EQ(a.totals.sh_accesses, b.totals.sh_accesses);
+  EXPECT_EQ(a.totals.gl_bytes, b.totals.gl_bytes);
+  EXPECT_EQ(a.totals.spill_bytes, b.totals.spill_bytes);
+  EXPECT_EQ(a.totals.syncs, b.totals.syncs);
+  EXPECT_EQ(a.totals.addr_truncations, b.totals.addr_truncations);
+  ASSERT_EQ(a.breakdown.size(), b.breakdown.size());
+  for (std::size_t i = 0; i < a.breakdown.size(); ++i) {
+    EXPECT_EQ(a.breakdown[i].panel, b.breakdown[i].panel) << i;
+    EXPECT_EQ(a.breakdown[i].tag, b.breakdown[i].tag) << i;
+    EXPECT_EQ(bits(a.breakdown[i].cycles), bits(b.breakdown[i].cycles)) << i;
+  }
 }
 
 // Run the paper's op set through two Solvers — one on a replay-enabled
@@ -331,6 +367,209 @@ TEST(ReplayVerify, ConcurrentGroupedLaunchesMatchFullSim) {
   for (std::size_t i = 0; i < want.size(); ++i)
     expect_batches_identical(got[i], want[i]);
   EXPECT_GT(grouped_blocks(), grouped0);
+}
+
+// A count x m x n batch borrowed from `storage` at the start of a DRAM
+// segment. The tests below key replay by a fixed salt, which does not
+// cover the payload's alignment class (ops::run_device mixes it in), so
+// their payloads must not land wherever the heap puts them.
+BatchF segment_aligned(std::vector<float>& storage, int count, int m, int n) {
+  const std::size_t seg = simt::DeviceConfig{}.dram_segment_bytes;
+  storage.assign(static_cast<std::size_t>(count) * m * n + seg, 0.0f);
+  float* p = storage.data();
+  while (reinterpret_cast<std::uintptr_t>(p) % seg != 0) ++p;
+  return BatchF::borrow(p, count, m, n);
+}
+
+// One Device::launch of each device per pass, both inside a
+// data-independent ReplayScope keyed by `salt`, compared field by field: on
+// the replay device pass 0 misses and passes 1 and 2 hit. `launch` runs a
+// core driver on inputs seeded by the pass. Returns how far
+// engine.addr_truncations advanced on {replay_dev, full_dev}.
+template <typename Launch>
+std::pair<std::uint64_t, std::uint64_t> expect_memo_matches_full_sim(
+    simt::Device& replay_dev, simt::Device& full_dev, std::uint64_t salt,
+    int period, const Launch& launch) {
+  const auto truncations = [] {
+    return obs::counter_value("engine.addr_truncations");
+  };
+  std::uint64_t replay_trunc = 0, full_trunc = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    simt::LaunchResult r, f;
+    std::uint64_t t0 = truncations();
+    {
+      simt::Device::ReplayScope scope(replay_dev, true, salt, period);
+      r = launch(replay_dev, pass);
+    }
+    replay_trunc += truncations() - t0;
+    t0 = truncations();
+    {
+      simt::Device::ReplayScope scope(full_dev, true, salt, period);
+      f = launch(full_dev, pass);
+    }
+    full_trunc += truncations() - t0;
+    SCOPED_TRACE(testing::Message() << "salt " << salt << " pass " << pass);
+    expect_launches_identical(r, f);
+  }
+  return {replay_trunc, full_trunc};
+}
+
+// A miss stores its folded LaunchResult in the replay entry and later hits
+// copy it. Per key, a miss and two hits must report every field bit for bit
+// what a fully simulated device folds: grouped per-block QR, ragged
+// per-thread QR, 24x24 QR solves with the right-hand sides in each 16-byte
+// alignment class (96 B apart, so the representatives disagree and the
+// entry is non-uniform), and a kernel whose address logs overflow, so a
+// memo hit must still count the truncations the fold used to count.
+TEST(ReplayVerify, MemoizedFoldBitwiseEqualsFullSim) {
+  simt::Device replay_dev;
+  replay_dev.set_replay(true);
+  simt::Device full_dev;
+  if (!replay_dev.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  const std::uint64_t reused0 =
+      obs::counter_value("engine.replay.folds_reused");
+  const std::uint64_t nonuniform0 =
+      obs::counter_value("engine.replay.nonuniform");
+  const std::uint64_t grouped0 = grouped_blocks();
+  int keys = 0;
+
+  expect_memo_matches_full_sim(
+      replay_dev, full_dev, 0x3232, 1, [](simt::Device& dev, int pass) {
+        std::vector<float> storage;
+        BatchF a = segment_aligned(storage, 19, 32, 32);  // 2 groups + 3
+        fill_uniform(a, 300 + pass);
+        return core::qr_per_block(dev, a).launch;
+      });
+  ++keys;
+  expect_memo_matches_full_sim(
+      replay_dev, full_dev, 0x0808, 1, [](simt::Device& dev, int pass) {
+        std::vector<float> storage;
+        BatchF a = segment_aligned(storage, 37, 8, 8);
+        fill_uniform(a, 800 + pass);
+        return core::qr_per_thread(dev, a).launch;
+      });
+  ++keys;
+
+  constexpr int kCount = 19, kN = 24;
+  const std::uintptr_t seg = replay_dev.config().dram_segment_bytes;
+  std::vector<float> storage(kCount * kN + seg);
+  for (std::uintptr_t cls = 0; cls < seg; cls += 16) {
+    float* rhs = storage.data();
+    while (reinterpret_cast<std::uintptr_t>(rhs) % seg != cls) ++rhs;
+    // b's 96-byte stride repeats its classes every four blocks.
+    expect_memo_matches_full_sim(
+        replay_dev, full_dev, 0x2424 + cls, 4,
+        [&](simt::Device& dev, int pass) {
+          std::vector<float> a_storage;
+          BatchF a = segment_aligned(a_storage, kCount, kN, kN);
+          fill_uniform(a, 900 + cls + pass);
+          BatchF b = BatchF::borrow(rhs, kCount, kN, 1);
+          fill_uniform(b, 950 + cls + pass);
+          return core::qr_solve_per_block(dev, a, b).launch;
+        });
+    ++keys;
+  }
+
+  const auto [replay_trunc, full_trunc] = expect_memo_matches_full_sim(
+      replay_dev, full_dev, 0x7a7a, 1, [](simt::Device& dev, int) {
+        simt::LaunchSpec spec;
+        spec.blocks = 3;
+        spec.threads = 1;
+        spec.name = "truncating";
+        const int over = static_cast<int>(simt::ThreadStats::kAddrCap) + 100;
+        return dev.launch(spec, [=](simt::BlockCtx& ctx) -> simt::Lane {
+          auto sh = ctx.shared<int>(4);
+          for (int i = 0; i < over; ++i) sh.st(i % 4, i);
+          co_return;
+        });
+      });
+  ++keys;
+  EXPECT_GT(full_trunc, 0u);
+  EXPECT_EQ(replay_trunc, full_trunc);
+
+  EXPECT_EQ(obs::counter_value("engine.replay.folds_reused") - reused0,
+            static_cast<std::uint64_t>(2 * keys));
+  EXPECT_GT(obs::counter_value("engine.replay.nonuniform"), nonuniform0);
+  EXPECT_GT(grouped_blocks(), grouped0);
+}
+
+// Latency spikes and poisoned blocks are decided per launch, outside the
+// key, so the memo holds the fold before any spike: a spiked hit copies it
+// and stretches its own copy, and a poisoned hit folds its hole as full
+// simulation does. Under FaultDecisionsIdenticalUnderReplay's fault config,
+// every launch of a few keys must match a fully simulated device bit for
+// bit, with the memo used exactly on the unpoisoned hits.
+TEST(ReplayVerify, SpikedHitsUseTheMemoPoisonedHitsBypassIt) {
+  simt::DeviceConfig cfg;
+  cfg.faults.seed = 42;
+  cfg.faults.poisoned_result_rate = 0.5;
+  cfg.faults.latency_spike_rate = 0.25;
+  cfg.faults.latency_spike_multiplier = 4.0;
+  simt::Device replay_dev(cfg);
+  replay_dev.set_replay(true);
+  simt::Device full_dev(cfg);
+  if (!replay_dev.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  int spiked_misses = 0, spiked_hits = 0, poisoned_hits = 0;
+  for (std::uint64_t key = 0; key < 4; ++key) {
+    for (int pass = 0; pass < 4; ++pass) {
+      const simt::FaultStats before = replay_dev.fault_stats();
+      const std::uint64_t hits0 = obs::counter_value("engine.replay.hits");
+      const std::uint64_t reused0 =
+          obs::counter_value("engine.replay.folds_reused");
+      const auto launch = [&](simt::Device& dev) {
+        simt::Device::ReplayScope scope(dev, true, 0xfa17 + key);
+        std::vector<float> storage;
+        BatchF a = segment_aligned(storage, 19, 32, 32);
+        fill_uniform(a, 40 * key + pass);
+        return core::qr_per_block(dev, a).launch;
+      };
+      const simt::LaunchResult r = launch(replay_dev);
+      const simt::LaunchResult f = launch(full_dev);
+      SCOPED_TRACE(testing::Message() << "key " << key << " pass " << pass);
+      expect_launches_identical(r, f);
+
+      const simt::FaultStats& after = replay_dev.fault_stats();
+      const bool hit = obs::counter_value("engine.replay.hits") > hits0;
+      const bool poisoned = after.poisoned_launches > before.poisoned_launches;
+      const bool spiked = after.latency_spikes > before.latency_spikes;
+      EXPECT_EQ(obs::counter_value("engine.replay.folds_reused") - reused0,
+                hit && !poisoned ? 1u : 0u);
+      if (!hit && !poisoned && spiked) ++spiked_misses;  // stores a memo
+      if (hit && !poisoned && spiked) ++spiked_hits;
+      if (hit && poisoned) ++poisoned_hits;
+    }
+  }
+  EXPECT_GT(spiked_misses, 0);
+  EXPECT_GT(spiked_hits, 0);
+  EXPECT_GT(poisoned_hits, 0);
+}
+
+// Under REGLA_REPLAY_VERIFY=1 an unpoisoned hit re-folds its re-simulated
+// blocks and must reproduce the memo bit for bit. A clock change behind an
+// unchanged salt leaves every block's phases as they were but changes the
+// fold (DRAM bytes per cycle, seconds), so the next hit must abort as a
+// verify mismatch.
+TEST(ReplayVerify, VerifyModeCatchesAStaleMemo) {
+  ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
+  simt::Device dev;
+  ::unsetenv("REGLA_REPLAY_VERIFY");
+  dev.set_replay(true);
+  if (!dev.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  const std::uint64_t mism0 =
+      obs::counter_value("engine.replay.verify_mismatches");
+  const auto launch = [&dev] {
+    simt::Device::ReplayScope scope(dev, true, 0x57a1e);
+    std::vector<float> storage;
+    BatchF a = segment_aligned(storage, 3, 16, 16);
+    fill_uniform(a, 61);
+    return core::qr_per_block(dev, a).launch;
+  };
+  launch();                     // miss: stores the memo
+  EXPECT_NO_THROW(launch());    // hit: the re-fold matches it
+  EXPECT_EQ(obs::counter_value("engine.replay.verify_mismatches"), mism0);
+  dev.mutable_config().clock_ghz *= 2;
+  EXPECT_THROW(launch(), regla::Error);
+  EXPECT_EQ(obs::counter_value("engine.replay.verify_mismatches"), mism0 + 1);
 }
 
 // The REGLA_REPLAY=0 kill switch wins over any opt-in.
