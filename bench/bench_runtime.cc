@@ -352,8 +352,8 @@ int ragged_sweep(bool smoke) {
 
 // The alloc-budget act: closed-loop steady-state traffic through the staged
 // assembly path, measuring arena slab mallocs per request after warm-up.
-// The zero-copy tentpole's contract is that the steady-state hot path never
-// allocates: every staging block is a free-list hit. CI's alloc-budget step
+// The arena's contract is that the steady-state hot path never allocates:
+// every staging block is a free-list hit. CI's alloc-budget step
 // re-checks the emitted CSV against the committed budget
 // (bench_results/alloc_budget.txt) via scripts/check_alloc_budget.py; the
 // binary also self-gates so a local run fails loudly.

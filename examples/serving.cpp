@@ -10,10 +10,10 @@
 // future.
 //
 // Clients here write their problems into arena leases (rt.lease_f32) instead
-// of their own heap buffers: leased payloads are recycled slab blocks, so
-// the steady-state serving path allocates nothing per request, and adjacent
-// leases can even ride to the device as a zero-copy concatenated view (see
-// DESIGN.md §14 and the payload line in the printed stats).
+// of their own heap buffers: leased payloads and the staging blocks every
+// batch is gathered into are recycled slab blocks, so the steady-state
+// serving path allocates nothing per request (see DESIGN.md §14 and the
+// payload line in the printed stats).
 //
 // Act two re-runs the same fleet against a hostile device: 10% of launches
 // fail with TransientLaunchFailure (deterministic, seeded). With bounded
@@ -125,10 +125,9 @@ void print_stats(const runtime::RuntimeStats& st, const FleetResult& r) {
   std::printf("latency:          p50 %.2f ms, p99 %.2f ms\n", st.p50_ms(),
               st.p99_ms());
   std::printf("payloads:         %llu slab allocs, %llu lease reuses; "
-              "%llu view / %llu staged batches, %llu bytes copied\n",
+              "%llu staged batches, %llu bytes copied\n",
               static_cast<unsigned long long>(st.payload_allocs),
               static_cast<unsigned long long>(st.payload_reuses),
-              static_cast<unsigned long long>(st.view_batches),
               static_cast<unsigned long long>(st.staged_batches),
               static_cast<unsigned long long>(st.payload_bytes_copied));
   std::printf("simulated device: %.2f ms busy\n", st.device_seconds * 1e3);

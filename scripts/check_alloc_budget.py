@@ -3,9 +3,9 @@
 
 bench_runtime's alloc-audit act drives closed-loop traffic through the
 staged assembly path and emits alloc_audit.csv with a "steady" row counting
-arena slab mallocs per request after warm-up. The zero-copy design's
-contract is that the steady-state hot path never allocates — every staging
-block is a free-list hit — so that number must stay at ~0 forever.
+arena slab mallocs per request after warm-up. The arena's contract is
+that the steady-state hot path never allocates — every staging block is a
+free-list hit — so that number must stay at ~0 forever.
 
 The budget lives in bench_results/alloc_budget.txt (a single float;
 '#' comments allowed). This check is strict by design, unlike the

@@ -29,7 +29,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # the cross-layer timeline (ObsRuntimeTrace exercises the trace buffer from
 # the dispatcher and every worker thread at once); Arena*/RuntimeArena*/
 # RuntimeRagged* hammer the payload arena's lease/release free lists and the
-# staged/view assembly tiers from concurrent submitters.
+# one staged assembly path from concurrent submitters.
 PATTERNS=(
   'ThreadPool*' 'PlanCache*' 'RuntimeQueue*' 'RuntimeSolve*' 'RuntimeFault*'
   'EngineFault*' 'Lane*' 'Obs*' 'OpsRegistry*' 'OpsZoo*'

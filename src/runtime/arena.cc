@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "common/error.h"
@@ -15,11 +13,6 @@
 namespace regla::runtime {
 
 namespace {
-
-/// Lowest-address-first heap: popping the minimum keeps consecutive leases
-/// of one size class adjacent whenever their blocks are.
-using AddrHeap = std::priority_queue<std::uintptr_t, std::vector<std::uintptr_t>,
-                                     std::greater<std::uintptr_t>>;
 
 std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
@@ -33,8 +26,8 @@ struct Arena::State {
   Stats stats;
   /// Backing slabs, freed only when the last lease and the Arena are gone.
   std::vector<std::byte*> slabs;
-  /// Free blocks per exact (rounded) size class.
-  std::map<std::size_t, AddrHeap> free;
+  /// Free blocks per exact (rounded) size class, each list a LIFO stack.
+  std::map<std::size_t, std::vector<std::byte*>> free;
 
   ~State() {
     for (std::byte* s : slabs) std::free(s);
@@ -50,6 +43,10 @@ Arena::Arena(Options opt) : state_(std::make_shared<State>()) {
 }
 
 Arena::Lease Arena::lease(std::size_t bytes) {
+  // Looked up once per process: obs::counter builds a key and takes the
+  // registry mutex on every call, and every batch leases through here.
+  static obs::Counter& allocs = obs::counter("runtime.payload_allocs");
+  static obs::Counter& reuses = obs::counter("runtime.payload_reuses");
   State& st = *state_;
   const std::size_t sz = round_up(std::max<std::size_t>(bytes, 1),
                                   st.opt.alignment);
@@ -57,12 +54,9 @@ Arena::Lease Arena::lease(std::size_t bytes) {
   bool fresh_slab = false;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    AddrHeap& heap = st.free[sz];
-    if (!heap.empty()) {
-      p = reinterpret_cast<std::byte*>(heap.top());
-      heap.pop();
-      ++st.stats.reuses;
-    } else {
+    std::vector<std::byte*>& list = st.free[sz];
+    fresh_slab = list.empty();
+    if (fresh_slab) {
       const std::size_t blocks =
           std::max<std::size_t>(1, st.opt.min_slab_bytes / sz);
       const std::size_t slab_bytes = blocks * sz;
@@ -75,28 +69,26 @@ Arena::Lease Arena::lease(std::size_t bytes) {
       st.slabs.push_back(slab);
       ++st.stats.slab_allocs;
       st.stats.bytes_reserved += slab_bytes;
-      fresh_slab = true;
-      // Carve: hand out the lowest block, free-list the rest in address
-      // order (the heap keeps them that way on release too).
-      for (std::size_t b = 1; b < blocks; ++b)
-        heap.push(reinterpret_cast<std::uintptr_t>(slab + b * sz));
-      p = slab;
+      for (std::size_t b = 0; b < blocks; ++b) list.push_back(slab + b * sz);
+    } else {
+      ++st.stats.reuses;
     }
+    p = list.back();
+    list.pop_back();
     ++st.stats.leases;
     st.stats.bytes_leased += sz;
   }
-  obs::counter(fresh_slab ? "runtime.payload_allocs"
-                          : "runtime.payload_reuses")
-      .add();
+  (fresh_slab ? allocs : reuses).add();
 
   Lease l;
   l.size_ = sz;
   // The deleter shares the State, so a lease outliving the Arena (a Report
-  // holding a result view, say) still returns its block to a live free list.
+  // holding a leased result batch, say) still returns its block to a live
+  // free list.
   std::shared_ptr<State> state = state_;
   l.block_ = std::shared_ptr<std::byte>(p, [state, sz](std::byte* q) {
     std::lock_guard<std::mutex> lock(state->mu);
-    state->free[sz].push(reinterpret_cast<std::uintptr_t>(q));
+    state->free[sz].push_back(q);
     state->stats.bytes_leased -= sz;
   });
   return l;

@@ -1,4 +1,4 @@
-// regla::runtime::Arena — the slab buffer manager behind zero-copy payloads.
+// regla::runtime::Arena — the slab buffer manager behind staged payloads.
 //
 // The serving path used to heap-allocate every coalesced batch (and every
 // retry snapshot) per flush; for the small problems this project serves,
@@ -10,10 +10,8 @@
 //     slab only when the list is empty. Steady state never allocates: the
 //     obs counter "runtime.payload_allocs" counts slab mallocs and is the
 //     number the CI alloc-budget gate holds at ~0 per request.
-//   - Free lists are address-ordered (min-heaps), so consecutive leases of
-//     one size class come back adjacent whenever adjacent blocks are free.
-//     The runtime exploits this: payloads leased back-to-back concatenate
-//     into one device batch as a *view* (BatchedMatrix::borrow), no memcpy.
+//   - Free lists are LIFO stacks: a lease takes the block of its size class
+//     released most recently, the one likeliest to still be in cache.
 //   - A Lease is a refcounted handle (copyable); the block returns to its
 //     free list when the last handle drops. The backing State is shared, so
 //     leases — and the Reports that carry leased result batches — safely

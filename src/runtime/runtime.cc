@@ -38,7 +38,6 @@ Runtime::Metrics::Metrics(const std::string& labels)
       no_device(obs::counter("runtime.no_device", labels)),
       payload_bytes_copied(
           obs::counter("runtime.payload_bytes_copied", labels)),
-      view_batches(obs::counter("runtime.view_batches", labels)),
       staged_batches(obs::counter("runtime.staged_batches", labels)),
       ragged_batches(obs::counter("runtime.ragged_batches", labels)),
       batch_problems(obs::histogram("runtime.batch_problems", labels)),
@@ -460,50 +459,16 @@ SolveReport Runtime::solve_cpu(const Signature& sig, Payload& p) {
   return ops::run_cpu(sig.op, call, cpu::ThreadPool::global());
 }
 
-namespace {
-
-/// Restore element data into a possibly-borrowed destination. Payload /
-/// BatchedMatrix copy-assignment would detach a borrowed (arena-leased)
-/// batch into an owned one, so a solo retry's results would stop landing in
-/// the client's leased block — breaking the documented "results ride the
-/// same block back" contract. Copying elements keeps the storage mode.
-template <typename T>
-void restore_elements(BatchedMatrix<T>& dst, const BatchedMatrix<T>& src) {
-  std::copy_n(src.data(), src.size(), dst.data());
-}
-
-}  // namespace
-
-SolveReport Runtime::solve_solo(fleet::Lease& lease, const Signature& sig,
-                                Payload& p, SolveOutcome& outcome) {
-  if (!resilient())
-    return solve_resilient(lease, sig, p, outcome, {});
-  // A lone payload solved in place: a retry must restore it, and by the
-  // time the failure is observed the input may be partially factored — so
-  // the snapshot has to be taken up front (the copy snapshots a borrowed
-  // payload into owned pristine storage). This only runs on the isolation
-  // / re-run paths (a batch already failed), never in steady state, so the
-  // allocation does not dent the zero-alloc budget.
-  auto snapshot = std::make_shared<Payload>(p);
-  return solve_resilient(lease, sig, p, outcome, [&p, snapshot] {
-    if (p.is_complex) {
-      restore_elements(p.ca, snapshot->ca);
-    } else {
-      restore_elements(p.a, snapshot->a);
-      if (p.b.count() > 0) restore_elements(p.b, snapshot->b);
-    }
-  });
-}
-
-SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
-                                     Payload& p, SolveOutcome& outcome,
-                                     const std::function<void()>& restore) {
+SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Batch& batch,
+                                     Assembled& as, SolveOutcome& outcome) {
+  const Signature& sig = batch.sig;
+  Payload& p = as.payload;
   outcome.device_id = lease.device_id();
   outcome.device = lease.device_name();
   if (opt_.max_retries <= 0 && !opt_.cpu_fallback) {
-    // Resilience off: zero-copy fast path. A killed device still fails its
-    // launches — that is what being dead means — and the exception rides the
-    // usual isolation path to the futures.
+    // Resilience off: one attempt, no breaker, no re-route. A killed device
+    // still fails its launches — that is what being dead means — and the
+    // exception rides the usual isolation path to the futures.
     if (lease.killed())
       throw TransientLaunchFailure("device " + lease.device_name() +
                                    " was killed");
@@ -523,11 +488,10 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
   // A transient failure can abort mid-chain (tiled solves launch several
   // kernels), leaving the working payload partially factored — every retry
   // must restart from pristine input. The pristine epoch lives in the
-  // submitters' own buffers (a staged batch never touches them until the
-  // success scatter), so `restore` re-gathers into the staging blocks
-  // instead of restoring from an eagerly copied snapshot: the bounded-retry
-  // path costs zero allocations until a retry actually happens — and zero
-  // even then.
+  // submitters' own buffers (staging never touches them until the success
+  // scatter), so a retry re-gathers into the staging blocks instead of
+  // restoring from an eagerly copied snapshot: the bounded-retry path costs
+  // zero allocations.
   std::uint64_t exclude = 0;
   for (int attempt = 0;;) {
     try {
@@ -538,7 +502,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       fleet_->record_success(lease, p.problems(), r.seconds);
       return r;
     } catch (const TransientLaunchFailure&) {
-      if (restore) restore();
+      gather(batch, as);
       if (attempt < opt_.max_retries) {
         outcome.retries = ++attempt;
         m_.retries.add();
@@ -600,20 +564,9 @@ std::size_t pow2_ceil(std::size_t v) {
   return p;
 }
 
-/// data()+size() of one batch is exactly the next batch's data(): the spans
-/// concatenate into one problem-major slab with no gap. Only borrowed
-/// (arena-leased) batches qualify — two independently heap-allocated owned
-/// vectors can happen to abut, but they are still separate allocations, and
-/// indexing one through a pointer derived from the other is UB even when
-/// every per-problem access stays in bounds.
-template <typename T>
-bool spans_adjacent(const BatchedMatrix<T>& a, const BatchedMatrix<T>& b) {
-  return a.borrowed() && b.borrowed() && a.data() + a.size() == b.data();
-}
-
 }  // namespace
 
-Runtime::Assembled Runtime::assemble(Batch& batch) {
+Runtime::Assembled Runtime::assemble(const Batch& batch) {
   const Signature& sig = batch.sig;
   Assembled as;
   if (sig.ragged)
@@ -630,50 +583,10 @@ Runtime::Assembled Runtime::assemble(Batch& batch) {
         h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ull;
     as.payload.embedding = h | 1;  // never 0, the unpadded value
   }
-  // Zero-copy tiers, resilience off only: solving writes straight into the
-  // submitters' buffers, which forfeits the pristine epoch a retry restore
-  // needs. (Resilient batches always stage — that staging copy is the same
-  // gather the coalesced path always paid, so resilience no longer costs an
-  // extra snapshot.)
-  if (!as.padded && !resilient()) {
-    const Payload& front = batch.requests.front().payload;
-    bool viewable = true;
-    for (std::size_t i = 1; i < batch.requests.size() && viewable; ++i) {
-      const Payload& prev = batch.requests[i - 1].payload;
-      const Payload& cur = batch.requests[i].payload;
-      viewable = front.is_complex
-                     ? spans_adjacent(prev.ca, cur.ca)
-                     : spans_adjacent(prev.a, cur.a) &&
-                           (front.b.count() == 0 ||
-                            spans_adjacent(prev.b, cur.b));
-    }
-    if (viewable) {
-      // One request trivially qualifies (solve in place, the legacy fast
-      // path); several qualify when their payloads were leased back-to-back
-      // from the arena — the coalesced batch is then a view spanning them.
-      // No owner handle: the requests outlive the solve inside the batch.
-      as.mode = AssemblyMode::view;
-      Payload& p0 = batch.requests.front().payload;
-      if (p0.is_complex) {
-        as.payload.ca = BatchC::borrow(p0.ca.data(), batch.problems,
-                                       sig.m, sig.n);
-        as.payload.is_complex = true;
-      } else {
-        as.payload.a = BatchF::borrow(p0.a.data(), batch.problems,
-                                      sig.m, sig.n);
-        if (p0.b.count() > 0)
-          as.payload.b = BatchF::borrow(p0.b.data(), batch.problems,
-                                        p0.b.rows(), 1);
-      }
-      return as;
-    }
-  }
-
-  // Staged: gather into arena-leased staging blocks (padding ragged
-  // problems to the tile). Lease sizes round to the next power of two so
-  // the handful of size classes recycles across every batch size a queue
-  // produces — steady state re-leases, never allocates.
-  as.mode = AssemblyMode::staged;
+  // Gather into arena-leased staging blocks (padding ragged problems to the
+  // tile). Lease sizes round to the next power of two so the handful of
+  // size classes recycles across every batch size a queue produces — steady
+  // state re-leases, never allocates.
   const Payload& front = batch.requests.front().payload;
   const std::size_t elem =
       front.is_complex ? sizeof(std::complex<float>) : sizeof(float);
@@ -761,7 +674,6 @@ void Runtime::gather(const Batch& batch, Assembled& as) {
 }
 
 void Runtime::scatter(const Assembled& as, Batch& batch) {
-  if (as.mode != AssemblyMode::staged) return;  // views solved in place
   std::uint64_t copied = 0;
   if (as.payload.is_complex) {
     const BatchC& A = as.payload.ca;
@@ -904,54 +816,15 @@ void Runtime::execute(Batch& batch) {
 
   // The device-facing part alone (stream held, solver running).
   obs::Span exec_span("runtime.execute", "runtime");
-  bool poisoned = false;
-  std::exception_ptr batch_error;
   double device_seconds = 0;
-  SolveOutcome outcome;
-  Assembled as;
-  bool assembled = false;
+  bool failed = false;
   try {
-    // Build the device-facing payload: a zero-copy view over the
-    // submitters' buffers when possible, otherwise an arena-staged gather
-    // (padded to the tile for ragged buckets). Staged batches retry by
-    // re-gathering from the pristine request buffers — no snapshot copy.
-    as = assemble(batch);
-    assembled = true;
-    const SolveReport r = solve_resilient(
-        lease, batch.sig, as.payload, outcome,
-        as.mode == AssemblyMode::staged
-            ? std::function<void()>([this, &batch, &as] { gather(batch, as); })
-            : std::function<void()>{});
-    device_seconds += r.seconds;
-    // The device's work is done: free the stream before scatter/delivery,
-    // so a caller unblocked by .get() can immediately route here.
-    lease.release();
-    scatter(as, batch);
-    int off = 0;
-    for (Pending& req : batch.requests) {
-      const int k = req.payload.problems();
-      fulfill(req, r, batch, off, started, outcome);
-      off += k;
-    }
+    device_seconds = run_staged(lease, batch, started, /*keep_lease=*/false);
   } catch (...) {
-    poisoned = true;
-    batch_error = std::current_exception();
+    failed = true;
   }
 
-  if (poisoned && assembled && as.mode == AssemblyMode::view) {
-    // A view batch aliases the submitters' buffers, and a failure can abort
-    // a multi-launch (tiled) solve mid-chain — those buffers may now be
-    // partially factored, and no pristine epoch exists to re-run from
-    // (solve_solo only snapshots when resilience is on, and view assembly
-    // only happens when it is off). Re-solving here would silently deliver
-    // results computed from corrupted input, so fail every rider with the
-    // batch's error instead: correctness over isolation.
-    for (Pending& req : batch.requests) fail(req, batch_error);
-    record_batch_stats(batch, device_seconds, &as);
-    return;
-  }
-
-  if (poisoned && !lease) {
+  if (failed && !lease) {
     // The resilience policy released the lease (re-route found nothing) and
     // the failure propagated. Re-acquire for the isolation pass; if the
     // fleet has nothing routable left, finish on the no-device path.
@@ -962,12 +835,14 @@ void Runtime::execute(Batch& batch) {
     }
     lease = std::move(*again);
   }
-  if (poisoned) {
+  if (failed) {
     // Exception isolation: one bad request must not poison its batchmates.
-    // Re-run each request alone; only the ones that still throw get the
+    // Re-run each request alone, as a one-request batch staged from its
+    // still-pristine buffers; only the ones that still throw get the
     // exception on their future.
     m_.isolation_retries.add(batch.requests.size());
     for (Pending& req : batch.requests) {
+      Batch solo = solo_batch(batch, req);
       try {
         if (!lease) {
           // An earlier solo run's re-route dead-ended and released the
@@ -980,23 +855,34 @@ void Runtime::execute(Batch& batch) {
                 "no routable fleet device (all drained or removed)");
           lease = std::move(*again);
         }
-        SolveOutcome solo_outcome;
-        const SolveReport r =
-            solve_solo(lease, batch.sig, req.payload, solo_outcome);
-        device_seconds += r.seconds;
-        Batch solo;
-        solo.sig = batch.sig;
-        solo.reason = batch.reason;
-        solo.problems = req.payload.problems();
-        solo.requests.resize(1);  // only for the counts in the Report
-        fulfill(req, r, solo, 0, started, solo_outcome);
+        device_seconds +=
+            run_staged(lease, solo, started, /*keep_lease=*/true);
       } catch (...) {
-        fail(req, std::current_exception());
+        fail(solo.requests.front(), std::current_exception());
       }
     }
   }
 
-  record_batch_stats(batch, device_seconds, assembled ? &as : nullptr);
+  m_.staged_batches.add();
+  record_batch_stats(batch, device_seconds);
+}
+
+double Runtime::run_staged(fleet::Lease& lease, Batch& batch,
+                           Clock::time_point started, bool keep_lease) {
+  Assembled as = assemble(batch);
+  SolveOutcome outcome;
+  const SolveReport r = solve_resilient(lease, batch, as, outcome);
+  // The device's work is done: free the stream before scatter/delivery, so
+  // a caller unblocked by .get() can immediately route here.
+  if (!keep_lease) lease.release();
+  scatter(as, batch);
+  int off = 0;
+  for (Pending& req : batch.requests) {
+    const int k = req.payload.problems();
+    fulfill(req, r, batch, off, started, outcome);
+    off += k;
+  }
+  return r.seconds;
 }
 
 void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
@@ -1012,19 +898,25 @@ void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
   SolveOutcome outcome;
   outcome.on_cpu = true;
   for (Pending& req : batch.requests) {
+    Batch solo = solo_batch(batch, req);
+    Pending& only = solo.requests.front();
     try {
-      const SolveReport r = solve_cpu(batch.sig, req.payload);
-      Batch solo;
-      solo.sig = batch.sig;
-      solo.reason = batch.reason;
-      solo.problems = req.payload.problems();
-      solo.requests.resize(1);  // only for the counts in the Report
-      fulfill(req, r, solo, 0, started, outcome);
+      const SolveReport r = solve_cpu(batch.sig, only.payload);
+      fulfill(only, r, solo, 0, started, outcome);
     } catch (...) {
-      fail(req, std::current_exception());
+      fail(only, std::current_exception());
     }
   }
   record_batch_stats(batch, 0);
+}
+
+Runtime::Batch Runtime::solo_batch(const Batch& batch, Pending& req) {
+  Batch solo;
+  solo.sig = batch.sig;
+  solo.reason = batch.reason;
+  solo.problems = req.payload.problems();
+  solo.requests.push_back(std::move(req));
+  return solo;
 }
 
 // --- Draining --------------------------------------------------------------
@@ -1068,15 +960,11 @@ void Runtime::shutdown() {
 
 // --- Stats -----------------------------------------------------------------
 
-void Runtime::record_batch_stats(const Batch& batch, double device_seconds,
-                                 const Assembled* as) {
+void Runtime::record_batch_stats(const Batch& batch, double device_seconds) {
   m_.batch_problems.record(batch.problems);
   m_.flushes[static_cast<int>(batch.reason)]->add();
   m_.device_seconds.add(device_seconds);
   if (batch.sig.ragged) m_.ragged_batches.add();
-  if (as != nullptr)
-    (as->mode == AssemblyMode::view ? m_.view_batches : m_.staged_batches)
-        .add();
 }
 
 void Runtime::record_latency(Clock::time_point enqueued) {
@@ -1110,7 +998,6 @@ RuntimeStats Runtime::stats() const {
   s.no_device = m_.no_device.value();
   s.device_seconds = m_.device_seconds.value();
   s.payload_bytes_copied = m_.payload_bytes_copied.value();
-  s.view_batches = m_.view_batches.value();
   s.staged_batches = m_.staged_batches.value();
   s.ragged_batches = m_.ragged_batches.value();
   s.p50_ms_ = m_.latency_us.percentile(0.50) / 1000.0;

@@ -236,18 +236,16 @@ struct RuntimeStats {
   /// amortizes, independent of how fast the host simulates it.
   double device_seconds = 0;
 
-  // Payload-path accounting (the zero-copy story). payload_allocs /
-  // payload_reuses are snapshots of the arena's slab mallocs and free-list
-  // hits: steady state must lease without allocating, so allocs flatten
-  // after warm-up (the CI alloc-budget gate enforces it). The batch-mode
-  // counts partition `batches` (plus execute_no_device batches, which
-  // assemble nothing).
+  // Payload-path accounting. payload_allocs / payload_reuses are snapshots
+  // of the arena's slab mallocs and free-list hits: steady state must lease
+  // without allocating, so allocs flatten after warm-up (the CI alloc-budget
+  // gate enforces it). Every device batch is gathered into arena staging;
+  // `batches` minus `staged_batches` counts the batches that ended on the
+  // no-device path.
   std::uint64_t payload_allocs = 0;       ///< arena slab mallocs (cumulative)
   std::uint64_t payload_reuses = 0;       ///< arena free-list hits
   std::uint64_t payload_bytes_copied = 0; ///< gather/scatter/pad memcpy bytes
-  std::uint64_t view_batches = 0;         ///< zero-copy batches (in-place or
-                                          ///< adjacent-lease view concat)
-  std::uint64_t staged_batches = 0;       ///< arena-staged gather/scatter
+  std::uint64_t staged_batches = 0;       ///< batches staged for a device
   std::uint64_t ragged_batches = 0;       ///< batches from ragged buckets
 
   double mean_batch() const {
@@ -346,12 +344,10 @@ class Runtime {
 
   /// The payload arena. Submitters may lease request buffers here
   /// (lease_f32 / lease_c64 return zero-filled borrowed batches), write
-  /// problems in place, and submit as usual: back-to-back leases come back
-  /// address-adjacent, so a flush of such requests concatenates their
-  /// payloads into the device batch as a *view* — zero copies end to end
-  /// (resilience off; retries need a staged epoch to restore from). Results
-  /// ride the same block back inside Report::a/b, releasing it when the
-  /// Report is dropped.
+  /// problems in place, and submit as usual. Like any payload, a leased one
+  /// is read when its batch is gathered into staging and written once, by
+  /// the success scatter. Results ride the same block back inside
+  /// Report::a/b, releasing it when the Report is dropped.
   Arena& arena() { return *arena_; }
   BatchF lease_f32(int count, int rows, int cols) {
     return arena_->batch_f32(count, rows, cols);
@@ -398,34 +394,31 @@ class Runtime {
     FlushReason reason = FlushReason::size;
   };
 
-  /// How a batch's device-facing payload was built. `view`: the payload
-  /// borrows the submitters' own memory (a single request solved in place,
-  /// or adjacent arena leases concatenated) — zero copies, results land
-  /// where the callers already hold them. `staged`: problems are gathered
-  /// into arena-leased staging blocks (padded to the tile for ragged
-  /// buckets) and scattered back on success; the submitters' buffers stay
-  /// pristine until then, which is what makes retry restore a re-gather
-  /// instead of an eagerly allocated snapshot (CoW epochs: request buffers
-  /// are epoch 0, staging is the working epoch, scatter is the commit).
-  enum class AssemblyMode : std::uint8_t { view, staged };
+  /// A batch's device-facing payload: its problems gathered into
+  /// arena-leased staging blocks (padded to the tile for ragged buckets) and
+  /// scattered back on success. The submitters' buffers stay pristine until
+  /// then, which is what makes retry restore a re-gather instead of an
+  /// eagerly allocated snapshot (CoW epochs: request buffers are epoch 0,
+  /// staging is the working epoch, scatter is the commit).
   struct Assembled {
-    Payload payload;             ///< what the solver sees (borrowed storage)
-    AssemblyMode mode = AssemblyMode::view;
-    Arena::Lease a_block, b_block;  ///< staging storage (staged mode)
-    bool padded = false;         ///< any problem embedded below tile dims
+    Payload payload;                ///< what the solver sees (staging)
+    Arena::Lease a_block, b_block;  ///< the staging storage
+    bool padded = false;            ///< any problem embedded below tile dims
   };
-  /// Pick the assembly mode for `batch` and build the device payload
-  /// (gathering into staging when zero-copy is not available).
-  Assembled assemble(Batch& batch);
+  /// Lease staging for `batch` and gather its problems into it.
+  Assembled assemble(const Batch& batch);
   /// (Re)fill the staging payload from the requests' pristine buffers.
   void gather(const Batch& batch, Assembled& as);
-  /// Copy staged results back into the requests' buffers (view = no-op).
+  /// Copy staged results back into the requests' buffers.
   void scatter(const Assembled& as, Batch& batch);
-  /// Resilience on means every batch stages (a retry must be able to
-  /// restore the working payload from the submitters' pristine epoch).
-  bool resilient() const {
-    return opt_.max_retries > 0 || opt_.cpu_fallback;
-  }
+  /// The one path from a batch to its futures: assemble, solve_resilient,
+  /// scatter, fulfill. Returns the batch's device seconds. A solve the
+  /// resilience policy cannot save throws before the scatter, so the
+  /// requests' buffers are still pristine. The stream is released before the
+  /// scatter unless `keep_lease` (the isolation pass runs its next request
+  /// on it).
+  double run_staged(fleet::Lease& lease, Batch& batch,
+                    Clock::time_point started, bool keep_lease);
   /// The one f32 admission path (submit and try_submit): validate the
   /// payload, build its signature (the ragged bucket tile when ragged
   /// coalescing applies) and move the matrices into `p`.
@@ -446,6 +439,9 @@ class Runtime {
   /// removed. Solves per request on the cpu entries when cpu_fallback is on,
   /// otherwise fails the futures with NoDeviceAvailable.
   void execute_no_device(Batch& batch, Clock::time_point started);
+  /// A one-request batch of `batch`'s signature holding `req`, moved in: the
+  /// unit the solo paths run and report.
+  static Batch solo_batch(const Batch& batch, Pending& req);
   SolveReport solve_one(fleet::Stream& s, const Signature& sig, Payload& p);
   /// What a resilient solve did beyond producing the report.
   struct SolveOutcome {
@@ -454,20 +450,14 @@ class Runtime {
     int device_id = -1;
     std::string device;
   };
-  /// solve_one wrapped in the resilience policy: bounded backoff retry on
-  /// TransientLaunchFailure; on exhaustion the per-device circuit breaker
+  /// solve_one over `as` wrapped in the resilience policy: bounded backoff
+  /// retry on TransientLaunchFailure, each retry re-gathering `as` from the
+  /// requests' buffers; on exhaustion the per-device circuit breaker
   /// advances and the batch re-routes to a different fleet device (the lease
   /// is swapped in place), then — out of devices — degrades to the optional
-  /// CPU fallback. Throws only when the policy is out of options. `restore`
-  /// re-pristines `p` before a retry (a staged batch re-gathers from the
-  /// submitters' buffers); may be empty when the policy cannot retry.
-  SolveReport solve_resilient(fleet::Lease& lease, const Signature& sig,
-                              Payload& p, SolveOutcome& outcome,
-                              const std::function<void()>& restore);
-  /// solve_resilient for a lone request payload (the isolation and re-run
-  /// paths): takes a lazy pristine snapshot only when resilience is on.
-  SolveReport solve_solo(fleet::Lease& lease, const Signature& sig,
-                         Payload& p, SolveOutcome& outcome);
+  /// CPU fallback. Throws only when the policy is out of options.
+  SolveReport solve_resilient(fleet::Lease& lease, const Batch& batch,
+                              Assembled& as, SolveOutcome& outcome);
   /// Graceful degradation: the same contract as solve_one, on the cpu::
   /// solvers over the process-wide host pool (with or without a lease).
   SolveReport solve_cpu(const Signature& sig, Payload& p);
@@ -481,10 +471,7 @@ class Runtime {
                const Batch& batch, int offset, Clock::time_point started,
                const SolveOutcome& outcome);
   void dispatcher_loop();
-  /// `as` describes how the batch's payload was assembled (null for the
-  /// no-device path, which assembles nothing).
-  void record_batch_stats(const Batch& batch, double device_seconds,
-                          const Assembled* as = nullptr);
+  void record_batch_stats(const Batch& batch, double device_seconds);
   void record_latency(Clock::time_point enqueued);
 
   /// Spare pool threads beyond the initial stream count, so devices added
@@ -500,8 +487,7 @@ class Runtime {
     obs::Counter &requests, &problems, &rejected, &isolation_retries,
         &failed_requests, &fulfilled, &retries, &shed, &deadline_exceeded,
         &fallback_cpu, &circuit_opens, &reroutes, &no_device,
-        &payload_bytes_copied, &view_batches, &staged_batches,
-        &ragged_batches;
+        &payload_bytes_copied, &staged_batches, &ragged_batches;
     obs::Counter* flushes[kNumFlushReasons];  ///< reason=<to_string(r)>
     obs::Histogram &batch_problems, &latency_us;
     obs::Gauge& device_seconds;  ///< accumulated with add()

@@ -1,12 +1,12 @@
-// The payload arena and the zero-copy serving path built on it.
+// The payload arena and the staged serving path built on it.
 //
 // Arena.* pin the slab manager itself: exact-size free-list recycling
 // (steady state leases without allocating — the CI alloc-budget claim),
-// address-ordered adjacency, lease lifetime beyond the Arena handle, and
-// lease/release races (TSan). RuntimeArena.* drive the runtime's assembly
-// tiers through the solve_override hook: view concatenation over adjacent
-// client leases, arena-staged gather in steady state, and copy-on-write
-// epoch isolation across retries. RuntimeRagged.* cover mixed-shape
+// segment alignment, lease lifetime beyond the Arena handle, and
+// lease/release races (TSan). RuntimeArena.* drive the runtime's one
+// assembly path through the solve_override hook: arena-staged gather in
+// steady state, and copy-on-write epoch isolation across retries and solo
+// re-runs, client leases included. RuntimeRagged.* cover mixed-shape
 // coalescing: bucket keys, padding correctness against the cpu oracle per
 // sub-problem, and result slicing back to the submitted shapes.
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 
 #include "common/generators.h"
 #include "cpu/thread_pool.h"
-#include "obs/metrics.h"
 #include "ops/registry.h"
 #include "planner/op_traits.h"
 #include "runtime/arena.h"
@@ -62,27 +61,21 @@ TEST(Arena, SteadyStateLeasesWithoutAllocating) {
   EXPECT_EQ(st.bytes_leased, 0u);  // everything returned
 }
 
-TEST(Arena, SequentialLeasesAreAddressAdjacent) {
+// Every block, fresh or recycled, starts on a 128-byte (simulated DRAM
+// segment) boundary and spans whole segments: replay's alignment classes
+// key on where a payload starts.
+TEST(Arena, LeasesAreSegmentAligned) {
   Arena arena;
-  // Fresh slab: carved blocks hand out in address order, so back-to-back
-  // leases of one size class are exactly adjacent — the property the
-  // runtime's view concatenation keys on.
-  const std::size_t bytes = 1024;
-  Arena::Lease a = arena.lease(bytes);
-  Arena::Lease b = arena.lease(bytes);
-  Arena::Lease c = arena.lease(bytes);
-  EXPECT_EQ(a.data() + a.size(), b.data());
-  EXPECT_EQ(b.data() + b.size(), c.data());
-  // 128-byte (DRAM segment) alignment on every block.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % 128, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 128, 0u);
-  // Released blocks come back lowest-address-first, restoring adjacency.
-  a.reset();
-  b.reset();
-  c.reset();
-  Arena::Lease d = arena.lease(bytes);
-  Arena::Lease e = arena.lease(bytes);
-  EXPECT_EQ(d.data() + d.size(), e.data());
+  for (int round = 0; round < 2; ++round) {  // fresh slabs, then recycled
+    std::vector<Arena::Lease> held;
+    for (const std::size_t bytes : {1, 100, 1024, 1024, 1024, 5000})
+      held.push_back(arena.lease(bytes));
+    for (const Arena::Lease& l : held) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(l.data()) % 128, 0u);
+      EXPECT_EQ(l.size() % 128, 0u);
+    }
+  }
+  EXPECT_EQ(arena.stats().slab_allocs, 3u);  // one per size class
 }
 
 TEST(Arena, LeaseOutlivesArena) {
@@ -181,9 +174,8 @@ TEST(Arena, RaggedTileBucketsAndConstraints) {
 constexpr float kPoison = -777.0f;
 
 /// Doubles every element (so scatter offsets are visible) and records the
-/// device batch's base pointer + dims; throws on poisoned values.
+/// device batch's dims; throws on a problem whose last element is poisoned.
 struct ProbeSolver {
-  std::atomic<const float*> base{nullptr};
   std::atomic<int> rows{0}, cols{0}, problems{0}, calls{0};
   std::atomic<int> failures{0};  ///< TransientLaunchFailures to inject
 
@@ -191,7 +183,6 @@ struct ProbeSolver {
     RuntimeOptions opt;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
-      base.store(a.data());
       rows.store(a.rows());
       cols.store(a.cols());
       problems.store(a.count());
@@ -201,7 +192,7 @@ struct ProbeSolver {
       if (failures.fetch_sub(1) > 0)
         throw runtime::TransientLaunchFailure("injected by test");
       for (int k = 0; k < a.count(); ++k)
-        if (a.at(k, 0, 0) == 2.0f * kPoison)
+        if (a.at(k, a.rows() - 1, a.cols() - 1) == kPoison)
           throw std::runtime_error("poisoned");
       for (std::size_t i = 1; i < a.size(); ++i) a.data()[i] *= 2.0f;
       for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] *= 2.0f;
@@ -216,42 +207,6 @@ struct ProbeSolver {
 BatchF marked(BatchF a, float mark) {
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = mark;
   return a;
-}
-
-// Adjacent client leases concatenate into the device batch as a view: the
-// solver sees the first request's own memory, nothing is copied, and the
-// results land in place.
-TEST(RuntimeArena, AdjacentLeasesCoalesceAsView) {
-  ProbeSolver probe;
-  auto opt = probe.options();
-  opt.max_batch_delay = 10s;
-  Runtime rt(opt);
-  const std::uint64_t copied0 =
-      obs::counter_value("runtime.payload_bytes_copied");
-  std::vector<BatchF> leased;
-  for (int i = 0; i < 3; ++i)
-    leased.push_back(marked(rt.lease_f32(2, 8, 8), float(i + 1)));
-  const float* first = leased[0].data();
-  ASSERT_EQ(leased[0].data() + leased[0].size(), leased[1].data());
-  std::vector<std::future<Report>> futs;
-  for (BatchF& b : leased) futs.push_back(rt.submit(Op::qr, std::move(b)));
-  rt.flush();
-  for (int i = 0; i < 3; ++i) {
-    Report r = futs[i].get();
-    EXPECT_EQ(r.coalesced_requests, 3);
-    EXPECT_EQ(r.coalesced_problems, 6);
-    EXPECT_FLOAT_EQ(r.a.at(0, 0, 0), 2.0f * float(i + 1));
-    EXPECT_TRUE(r.a.borrowed());  // results ride the leased block back
-  }
-  // The solver saw the first lease itself — a view, not a gather.
-  EXPECT_EQ(probe.base.load(), first);
-  EXPECT_EQ(probe.problems.load(), 6);
-  EXPECT_EQ(obs::counter_value("runtime.payload_bytes_copied"), copied0);
-  rt.shutdown();
-  const auto st = rt.stats();
-  EXPECT_EQ(st.view_batches, 1u);
-  EXPECT_EQ(st.staged_batches, 0u);
-  EXPECT_EQ(st.payload_bytes_copied, 0u);
 }
 
 // Heap-allocated payloads from independent submitters gather into arena
@@ -278,11 +233,7 @@ TEST(RuntimeArena, StagedSteadyStateAllocatesNothing) {
   rt.shutdown();
   const auto st = rt.stats();
   EXPECT_EQ(st.payload_allocs, warm);  // steady state: zero new slabs
-  // Owned payloads never view-concatenate (two heap vectors that happen to
-  // abut are still separate allocations), so every multi-request owned
-  // batch stages — deterministically.
-  EXPECT_EQ(st.staged_batches, 55u);
-  EXPECT_EQ(st.view_batches, 0u);
+  EXPECT_EQ(st.staged_batches, 55u);   // every batch stages
   EXPECT_GE(st.payload_reuses, 35u);
   EXPECT_GT(st.payload_bytes_copied, 0u);
 }
@@ -313,39 +264,47 @@ TEST(RuntimeArena, RetryRestoresStagedEpochByRegather) {
   EXPECT_EQ(rt.stats().retries, 2u);
 }
 
-// A view batch aliases the submitters' buffers; a failure can abort a
-// multi-launch solve mid-chain and leave them partially factored, and with
-// resilience off no pristine epoch exists to re-run from. The runtime must
-// fail the riders' futures with the batch's error rather than re-solve
-// from the corrupted input and deliver silently wrong results.
-TEST(RuntimeArena, ViewBatchFailureFailsFuturesNotCorruptRerun) {
+// A failed batch of client leases, resilience off: the coalesced launch
+// half-writes its staging and then throws on the poisoned rider. Every
+// rider re-runs alone, staged from its own untouched lease, so the good
+// ones resolve with exactly one doubling, in their own blocks, and only the
+// poisoned one fails.
+TEST(RuntimeArena, FailedLeasedBatchIsolatesFromPristineInput) {
   ProbeSolver probe;
-  probe.failures = 1;  // the coalesced launch aborts after a half-write
   auto opt = probe.options();
   opt.max_batch_delay = 10s;
   Runtime rt(opt);
-  std::vector<BatchF> leased;
-  for (int i = 0; i < 2; ++i)
-    leased.push_back(marked(rt.lease_f32(2, 8, 8), float(i + 1)));
-  ASSERT_EQ(leased[0].data() + leased[0].size(), leased[1].data());
+  const float marks[] = {1.0f, kPoison, 3.0f};
+  std::vector<const float*> blocks;
   std::vector<std::future<Report>> futs;
-  for (BatchF& b : leased) futs.push_back(rt.submit(Op::qr, std::move(b)));
+  for (const float mark : marks) {
+    BatchF a = marked(rt.lease_f32(2, 8, 8), mark);
+    blocks.push_back(a.data());
+    futs.push_back(rt.submit(Op::qr, std::move(a)));
+  }
   rt.flush();
-  for (auto& f : futs)
-    EXPECT_THROW(f.get(), runtime::TransientLaunchFailure);
+  for (const int i : {0, 2}) {
+    Report r = futs[i].get();
+    EXPECT_EQ(r.coalesced_requests, 1);  // delivered by its solo re-run
+    EXPECT_EQ(r.a.data(), blocks[i]);    // into the client's own lease
+    // The batch's half-write doubled rider 0's first element in staging
+    // only; a second doubling here would mean it reached the lease.
+    EXPECT_FLOAT_EQ(r.a.at(0, 0, 0), 2.0f * marks[i]);
+    EXPECT_FLOAT_EQ(r.a.at(1, 7, 7), 2.0f * marks[i]);
+  }
+  EXPECT_THROW(futs[1].get(), std::runtime_error);
   rt.shutdown();
-  // No solo re-run happened: the second call would have doubled the
-  // corrupted buffers and resolved the futures successfully.
-  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_EQ(probe.calls.load(), 4);  // the batch, then one run per rider
   const auto st = rt.stats();
-  EXPECT_EQ(st.view_batches, 1u);
-  EXPECT_EQ(st.failed_requests, 2u);
-  EXPECT_EQ(st.isolation_retries, 0u);
+  EXPECT_EQ(st.isolation_retries, 3u);
+  EXPECT_EQ(st.failed_requests, 1u);
+  EXPECT_EQ(st.fulfilled, 2u);
 }
 
-// A solo retry on the isolation path must restore the pristine epoch into
-// the client's leased block without detaching it: results still ride the
-// same block back (the zero-copy contract), even after a restore.
+// A solo re-run on the isolation path stages the client's leased block like
+// any batch: its retry re-gathers from the untouched lease, and the success
+// scatter writes the results back into that same block, never a detached
+// copy.
 TEST(RuntimeArena, SoloRetryRestorePreservesLeasedBlock) {
   ProbeSolver probe;
   probe.failures = 3;  // batch attempt + its retry, then the solo attempt
@@ -488,15 +447,14 @@ TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {
 // A padded tile folds differently from a dense one of the same dims (QR
 // skips the reflectors of identity-padded columns), so replay must not serve
 // one's cached accounting to the other: with replay on, every batch reports
-// the simulated seconds a full simulation gives. Retries on make every batch
-// stage, so dense and padded batches share the staging alignment class.
+// the simulated seconds a full simulation gives. Every batch stages, so
+// dense and padded batches share the staging alignment class.
 TEST(RuntimeRagged, ReplayKeysOnTheEmbedding) {
   const auto seconds_per_batch = [](bool replay) {
     RuntimeOptions opt;
     opt.devices = {{"dev0", {}, 1}};
     opt.max_batch_delay = 10s;
     opt.ragged = true;
-    opt.max_retries = 1;
     Runtime rt(opt);
     if (!replay) {
       // The fleet has one stream, so this lease is that stream's. Turn its

@@ -165,7 +165,7 @@ struct FlakySolver {
       calls.fetch_add(1);
       if (delay.count() > 0) std::this_thread::sleep_for(delay);
       // Half-write before throwing: proves the runtime restores the payload
-      // snapshot between attempts (a retry from this state would double the
+      // between attempts (a retry from this state would double the
       // already-doubled first problem).
       if (a.count() > 0) a.at(0, 0, 0) *= 2.0f;
       if (failures.fetch_sub(1) > 0)

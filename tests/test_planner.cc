@@ -192,7 +192,7 @@ TEST(PlanCache, FingerprintCoversEveryNonFaultConfigField) {
       << "DeviceConfig changed: update config_fingerprint and this test";
 }
 
-TEST(PlanCache, EvictsLeastRecentlyUsed) {
+TEST(PlanCache, PlannerEvictsLeastRecentlyUsed) {
   Planner p(/*cache_capacity=*/2);
   const auto cfg = quadro();
   (void)p.plan(cfg, ProblemDesc{Op::qr, 8, 8, 10, Dtype::f32});

@@ -174,6 +174,9 @@ void run_op_sweep(simt::Device& replay_dev, simt::Device& full_dev) {
 }
 
 TEST(ReplayVerify, ReplayedAccountingBitwiseEqualsFullSim) {
+  // Verify mode (read at Device construction) never runs replay groups, so
+  // an inherited REGLA_REPLAY_VERIFY=1 would leave grouped_blocks flat.
+  ::unsetenv("REGLA_REPLAY_VERIFY");
   const std::uint64_t hits0 = obs::counter_value("engine.replay.hits");
   const std::uint64_t grouped0 = grouped_blocks();
   simt::Device replay_dev;
@@ -228,7 +231,10 @@ TEST(ReplayVerify, FaultDecisionsIdenticalUnderReplay) {
   cfg.faults.latency_spike_rate = 0.25;
   cfg.faults.latency_spike_multiplier = 4.0;
   for (const bool verify : {false, true}) {
-    if (verify) ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
+    if (verify)
+      ::setenv("REGLA_REPLAY_VERIFY", "1", 1);
+    else
+      ::unsetenv("REGLA_REPLAY_VERIFY");  // not inherited from the caller
     const std::uint64_t grouped0 = grouped_blocks();
     {
       simt::Device replay_dev(cfg);
