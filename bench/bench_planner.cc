@@ -2,7 +2,7 @@
 // sweep: for every shape, the GFLOP/s of the statically chosen kernel, the
 // GFLOP/s of the planner-selected plan, the model's predicted cycles against
 // the measured cycles (the paper's Tables IV/V validation, now a live
-// planner health metric), and the plan-cache hit rate over repeated solves.
+// planner health metric).
 #include <cmath>
 #include <cstdio>
 
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   simt::Device dev;
   Solver solver(dev);
   Table t({"n", "static", "GFLOP/s", "planned", "GFLOP/s", "pred Mcyc",
-           "meas Mcyc", "err %", "cached"});
+           "meas Mcyc", "err %"});
   t.precision(1);
 
   int worse_than_static = 0;
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    // The planner, twice: the first call plans, the second must be a pure
-    // cache hit (same signature, no model evaluation on the hot path).
+    // The planner's choice, solved twice on fresh inputs: the first report
+    // gives the model-vs-measured cycles, the second the GFLOP/s.
     BatchF b1(batch, n, n), b2(batch, n, n);
     fill_uniform(b1, n + 1);
     fill_uniform(b2, n + 2);
@@ -69,21 +69,15 @@ int main(int argc, char** argv) {
                std::string(to_string(rep1.plan.approach)) + "@" +
                    std::to_string(rep1.plan.threads),
                planned_gf, rep1.plan.predicted_cycles / 1e6,
-               rep1.chip_cycles / 1e6, 100.0 * err,
-               std::string(rep2.plan.from_cache ? "hit" : "MISS")});
+               rep1.chip_cycles / 1e6, 100.0 * err});
   }
 
   bench::emit(t, "planner",
               "Launch planner vs static dispatch (batched QR, Fig. 10 "
               "shapes); err = model-predicted vs measured cycles");
 
-  const auto s = solver.planner().stats();
-  std::printf("plan cache: %llu hits / %llu misses (hit rate %.0f%%), "
-              "%llu plans built\n",
-              static_cast<unsigned long long>(s.cache_hits),
-              static_cast<unsigned long long>(s.cache_misses),
-              100.0 * s.hit_rate(),
-              static_cast<unsigned long long>(s.plans_built));
+  std::printf("%llu plans built\n", static_cast<unsigned long long>(
+                                        solver.planner().stats().plans_built));
   if (worse_than_static > 0) {
     std::printf("WARNING: planner slower than static dispatch on %d shape(s)\n",
                 worse_than_static);

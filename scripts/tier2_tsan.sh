@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-2 race gate: build the concurrency-bearing subsystems under
 # ThreadSanitizer and run the tests that exercise threads — the thread pool,
-# the shared plan cache / planner, the serving runtime's queueing machinery,
+# the planner, the serving runtime's queueing machinery,
 # the obs telemetry layer (metric registry + trace ring hammered from many
 # threads, and the end-to-end runtime timeline that records from dispatcher
 # and worker threads), and the lane executor (stackless coroutines, so TSan
@@ -31,7 +31,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # RuntimeRagged* hammer the payload arena's lease/release free lists and the
 # one staged assembly path from concurrent submitters.
 PATTERNS=(
-  'ThreadPool*' 'PlanCache*' 'RuntimeQueue*' 'RuntimeSolve*' 'RuntimeFault*'
+  'ThreadPool*' 'Planner*' 'RuntimeQueue*' 'RuntimeSolve*' 'RuntimeFault*'
   'EngineFault*' 'Lane*' 'Obs*' 'OpsRegistry*' 'OpsZoo*'
   'Fleet*' 'ReplayVerify*' 'Arena*' 'RuntimeArena*' 'RuntimeRagged*'
 )

@@ -12,12 +12,12 @@
 //
 // Dispatch now goes through the op registry (src/ops/registry.h) behind the
 // model-guided launch planner: candidates are scored with the §II/§IV-V
-// analytical models and memoized in a plan cache, so repeated shapes skip
-// planning entirely. choose_approach below remains as the model-free static
-// rule (and the planner's reference in tests/benches).
+// analytical models on every launch, and the cheapest runs. choose_approach
+// below remains as the model-free static rule (and the planner's reference
+// in tests/benches).
 //
 // Batched solves go through the regla::Solver facade (planner/solver.h),
-// which owns its planner + cache and returns the unified SolveReport.
+// which owns its planner and returns the unified SolveReport.
 #pragma once
 
 #include "core/per_block.h"

@@ -8,22 +8,44 @@
 #include "obs/trace.h"
 
 namespace regla::fleet {
-namespace {
-
-std::string device_labels(const std::string& name) {
-  return "device=" + name;
-}
-
-}  // namespace
 
 /// One fleet member: a named device with its stream pool, lifecycle state,
 /// and circuit breaker. All fields except `killed` are guarded by the fleet
 /// mutex; `killed` is atomic so leased executors can poll it lock-free
 /// mid-solve.
 struct Fleet::Member {
-  int id = -1;
-  std::string name;
-  simt::DeviceConfig config;
+  /// The member's obs instruments (labels device=<name>), each looked up
+  /// once: obs::counter/gauge take the registry mutex and build a key on
+  /// every call. obs::reset_all zeroes instruments but never removes them,
+  /// so the references stay valid.
+  struct Metrics {
+    explicit Metrics(const std::string& labels)
+        : state(obs::gauge("fleet.state", labels)),
+          circuit_open(obs::gauge("fleet.circuit_open", labels)),
+          killed(obs::gauge("fleet.killed", labels)),
+          inflight(obs::gauge("fleet.inflight", labels)),
+          queue_depth(obs::gauge("fleet.queue_depth", labels)),
+          streams(obs::gauge("fleet.streams", labels)),
+          device_pps(obs::gauge("fleet.device_pps", labels)),
+          batches(obs::counter("fleet.batches", labels)),
+          problems(obs::counter("fleet.problems", labels)),
+          reroutes(obs::counter("fleet.reroutes", labels)),
+          circuit_opens(obs::counter("fleet.circuit_opens", labels)) {}
+    obs::Gauge &state, &circuit_open, &killed, &inflight, &queue_depth,
+        &streams, &device_pps;
+    obs::Counter &batches, &problems, &reroutes, &circuit_opens;
+  };
+
+  Member(int id, std::string name, const simt::DeviceConfig& config)
+      : id(id),
+        name(std::move(name)),
+        config(config),
+        metrics("device=" + this->name) {}
+
+  const int id;
+  const std::string name;
+  const simt::DeviceConfig config;
+  Metrics metrics;
   DeviceState state = DeviceState::active;
   std::atomic<bool> killed{false};
 
@@ -45,6 +67,13 @@ struct Fleet::Member {
 
   bool circuit_open(Clock::time_point now) const {
     return broken_until > now;
+  }
+
+  /// The router-visible load gauges, after `inflight` changed.
+  void stamp_load() const {
+    metrics.inflight.set(static_cast<double>(inflight));
+    metrics.queue_depth.set(static_cast<double>(inflight) /
+                            std::max<std::size_t>(1, streams.size()));
   }
 };
 
@@ -83,8 +112,6 @@ void Lease::release() {
 
 Fleet::Fleet(Options opt) : opt_(std::move(opt)) {
   REGLA_CHECK_MSG(!opt_.devices.empty(), "Fleet needs at least one device");
-  planner_ = opt_.planner ? opt_.planner
-                          : std::make_shared<planner::Planner>();
   for (DeviceSpec& s : opt_.devices) add_device(std::move(s));
   opt_.devices.clear();  // moved from; membership now lives in members_
 }
@@ -127,11 +154,7 @@ std::optional<Lease> Fleet::try_route(std::uint64_t exclude,
   ++m.inflight;
   m.last_routed = ++route_stamp_;
   ++stats_.routed;
-  obs::gauge("fleet.inflight", device_labels(m.name))
-      .set(static_cast<double>(m.inflight));
-  obs::gauge("fleet.queue_depth", device_labels(m.name))
-      .set(static_cast<double>(m.inflight) /
-           std::max<std::size_t>(1, m.streams.size()));
+  m.stamp_load();
   return lease;
 }
 
@@ -159,11 +182,7 @@ void Fleet::release(Stream* stream, int device) {
     Member& m = member_checked(device);
     m.free_streams.push_back(stream);
     --m.inflight;
-    obs::gauge("fleet.inflight", device_labels(m.name))
-        .set(static_cast<double>(m.inflight));
-    obs::gauge("fleet.queue_depth", device_labels(m.name))
-        .set(static_cast<double>(m.inflight) /
-             std::max<std::size_t>(1, m.streams.size()));
+    m.stamp_load();
   }
   cv_.notify_all();
 }
@@ -175,18 +194,16 @@ void Fleet::record_success(const Lease& lease, int problems,
   m.consecutive_exhausted = 0;
   if (m.broken_until != Clock::time_point{}) {
     m.broken_until = {};  // a success closes the circuit
-    obs::gauge("fleet.circuit_open", device_labels(m.name)).set(0);
+    m.metrics.circuit_open.set(0);
   }
   ++m.batches;
   m.problems += static_cast<std::uint64_t>(problems);
   m.device_seconds += device_seconds;
-  obs::counter("fleet.batches", device_labels(m.name)).add();
-  obs::counter("fleet.problems", device_labels(m.name))
-      .add(static_cast<std::uint64_t>(problems));
-  obs::gauge("fleet.device_pps", device_labels(m.name))
-      .set(m.device_seconds > 0
-               ? static_cast<double>(m.problems) / m.device_seconds
-               : 0);
+  m.metrics.batches.add();
+  m.metrics.problems.add(static_cast<std::uint64_t>(problems));
+  m.metrics.device_pps.set(
+      m.device_seconds > 0 ? static_cast<double>(m.problems) / m.device_seconds
+                           : 0);
 }
 
 bool Fleet::record_exhausted(const Lease& lease) {
@@ -199,8 +216,8 @@ bool Fleet::record_exhausted(const Lease& lease) {
     m.broken_until = Clock::now() + opt_.circuit_cooldown;
     ++m.circuit_opens;
     ++stats_.circuit_opens;
-    obs::counter("fleet.circuit_opens", device_labels(m.name)).add();
-    obs::gauge("fleet.circuit_open", device_labels(m.name)).set(1);
+    m.metrics.circuit_opens.add();
+    m.metrics.circuit_open.set(1);
     return true;
   }
   return false;
@@ -211,7 +228,7 @@ void Fleet::record_reroute_away(int device_id) {
   Member& m = member_checked(device_id);
   ++m.reroutes_away;
   ++stats_.reroutes;
-  obs::counter("fleet.reroutes", device_labels(m.name)).add();
+  m.metrics.reroutes.add();
 }
 
 int Fleet::add_device(DeviceSpec spec) {
@@ -221,16 +238,15 @@ int Fleet::add_device(DeviceSpec spec) {
   std::vector<std::unique_ptr<Stream>> built;
   built.reserve(streams);
   for (int i = 0; i < streams; ++i)
-    built.push_back(std::make_unique<Stream>(spec.config, planner_));
+    built.push_back(std::make_unique<Stream>(spec.config));
   int id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = static_cast<int>(members_.size());
-    auto m = std::make_unique<Member>();
-    m->id = id;
-    m->name = spec.name.empty() ? "dev" + std::to_string(id)
-                                : std::move(spec.name);
-    m->config = spec.config;
+    auto m = std::make_unique<Member>(
+        id,
+        spec.name.empty() ? "dev" + std::to_string(id) : std::move(spec.name),
+        spec.config);
     m->streams = std::move(built);
     for (auto& s : m->streams) m->free_streams.push_back(s.get());
     stamp_member_gauges(*m);
@@ -279,7 +295,7 @@ void Fleet::kill(int id) {
   std::lock_guard<std::mutex> lock(mu_);
   Member& m = member_checked(id);
   m.killed.store(true, std::memory_order_relaxed);
-  obs::gauge("fleet.killed", device_labels(m.name)).set(1);
+  m.metrics.killed.set(1);
 }
 
 int Fleet::size() const {
@@ -362,15 +378,11 @@ const Fleet::Member& Fleet::member_checked(int id) const {
 }
 
 void Fleet::stamp_member_gauges(const Member& m) const {
-  const std::string labels = device_labels(m.name);
-  obs::gauge("fleet.state", labels).set(static_cast<double>(m.state));
-  obs::gauge("fleet.circuit_open", labels)
-      .set(m.circuit_open(Clock::now()) ? 1 : 0);
-  obs::gauge("fleet.killed", labels)
-      .set(m.killed.load(std::memory_order_relaxed) ? 1 : 0);
-  obs::gauge("fleet.inflight", labels).set(static_cast<double>(m.inflight));
-  obs::gauge("fleet.streams", labels)
-      .set(static_cast<double>(m.streams.size()));
+  m.metrics.state.set(static_cast<double>(m.state));
+  m.metrics.circuit_open.set(m.circuit_open(Clock::now()) ? 1 : 0);
+  m.metrics.killed.set(m.killed.load(std::memory_order_relaxed) ? 1 : 0);
+  m.metrics.inflight.set(static_cast<double>(m.inflight));
+  m.metrics.streams.set(static_cast<double>(m.streams.size()));
 }
 
 void Fleet::stamp_topology_gauges() const {

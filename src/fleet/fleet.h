@@ -18,9 +18,10 @@
 // simt/fault.h supplies the seeded per-launch hostility, kill() the
 // guaranteed one).
 //
-// Every device exports labeled obs instruments (device=<name>): queue-depth
-// / inflight gauges, batch/problem/reroute counters, circuit state, and the
-// fleet-wide fleet.devices / fleet.streams topology gauges.
+// Every device exports labeled obs instruments (device=<name>), looked up
+// once when it joins: queue-depth / inflight gauges, batch/problem/reroute
+// counters, circuit state, and the fleet-wide fleet.devices / fleet.streams
+// topology gauges.
 // publish_metrics() re-stamps the topology after an obs::reset_all(), the
 // same contract as ops::publish_metrics().
 //
@@ -47,17 +48,14 @@ namespace regla::fleet {
 
 using Clock = std::chrono::steady_clock;
 
-/// One worker stream: its own simulated Device + Solver over the fleet's
-/// shared planner (so a signature planned on any stream is a plan-cache hit
-/// on all of them). A stream is leased to exactly one executor at a time,
-/// so nothing here needs locking. Its Device simulates blocks on the
-/// process-wide host pool (cpu::ThreadPool::global()) that every stream
-/// shares, so a stream with a full launch wave uses the threads an idle
-/// sibling leaves free.
+/// One worker stream: its own simulated Device + Solver. A stream is leased
+/// to exactly one executor at a time, so nothing here needs locking. Its
+/// Device simulates blocks on the process-wide host pool
+/// (cpu::ThreadPool::global()) that every stream shares, so a stream with a
+/// full launch wave uses the threads an idle sibling leaves free.
 class Stream {
  public:
-  Stream(const simt::DeviceConfig& cfg, std::shared_ptr<planner::Planner> p)
-      : dev_(cfg), solver_(dev_, std::move(p)) {
+  explicit Stream(const simt::DeviceConfig& cfg) : dev_(cfg), solver_(dev_) {
     // Serving streams run data-independent ops over coalesced batches — the
     // replay cache's home turf (simt/replay.h). Direct Device users
     // (paper-figure benches) stay on full simulation; REGLA_REPLAY=0
@@ -170,9 +168,6 @@ struct FleetOptions {
   /// disables the breaker), and how long it stays open.
   int circuit_break_after = 2;
   std::chrono::milliseconds circuit_cooldown{50};
-  /// The shared planner (and plan cache) every stream solves through;
-  /// created fresh when null.
-  std::shared_ptr<planner::Planner> planner;
 };
 
 /// The fleet: N devices, a router, live membership. Thread-safe throughout.
@@ -239,7 +234,6 @@ class Fleet {
   /// The first non-removed member's config (the runtime's batch-targeting
   /// reference); by value — membership can change under the caller.
   simt::DeviceConfig primary_config() const;
-  std::shared_ptr<planner::Planner> planner() const { return planner_; }
 
   /// Re-stamp the fleet topology gauges (fleet.devices, fleet.streams, and
   /// per-device fleet.state / fleet.circuit_open / fleet.inflight /
@@ -260,7 +254,6 @@ class Fleet {
   void stamp_topology_gauges() const;               ///< requires mu_ held
 
   Options opt_;
-  std::shared_ptr<planner::Planner> planner_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;

@@ -51,7 +51,6 @@ inline const char* to_string(Dtype d) { return d == Dtype::c64 ? "c64" : "f32"; 
 inline int words_per_elem(Dtype d) { return d == Dtype::c64 ? 2 : 1; }
 
 /// The problem signature: everything the planner needs to pick a mapping.
-/// Together with the DeviceConfig fingerprint this is the plan-cache key.
 struct ProblemDesc {
   Op op = Op::qr;
   int m = 0;      ///< rows per problem
@@ -79,9 +78,6 @@ struct Plan {
   // --- Model verdict (whole batch, chip cycles on the configured device) --
   double predicted_cycles = 0;
   double predicted_gflops = 0;
-
-  /// True on plans served from the cache (set per returned copy).
-  bool from_cache = false;
 };
 
 }  // namespace regla::planner

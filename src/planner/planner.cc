@@ -251,8 +251,6 @@ void enumerate(const regla::simt::DeviceConfig& cfg, const ProblemDesc& d,
 
 }  // namespace
 
-Planner::Planner(std::size_t cache_capacity) : cache_(cache_capacity) {}
-
 std::uint64_t Planner::config_fingerprint(const regla::simt::DeviceConfig& cfg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
   const auto mix = [&h](std::uint64_t v) {
@@ -299,11 +297,6 @@ std::vector<Plan> Planner::candidates(const regla::simt::DeviceConfig& cfg,
 
 Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                    const ProblemDesc& desc) {
-  const PlanCache::Key key{desc, config_fingerprint(cfg)};
-  if (std::optional<Plan> hit = cache_.find(key)) return *hit;
-  // Build outside the cache lock. Two threads racing on the same fresh
-  // signature both build; plans are deterministic functions of (cfg, desc),
-  // so whichever insert lands last overwrites with an identical value.
   obs::Span span("planner.plan", "planner");
   const std::vector<Plan> cands = candidates(cfg, desc);
   REGLA_CHECK_MSG(!cands.empty(),
@@ -313,23 +306,15 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                                        << " (problems past one thread block "
                                           "support only QR/least-squares)");
   ++plans_built_;
-  cache_.insert(key, cands.front());
   return cands.front();
 }
 
 PlannerStats Planner::stats() const {
-  const PlanCacheStats c = cache_.stats();
   PlannerStats s;
-  s.cache_hits = c.hits;
-  s.cache_misses = c.misses;
   s.plans_built = plans_built_;
-  s.evictions = c.evictions;
   return s;
 }
 
-void Planner::clear() {
-  cache_.clear();
-  plans_built_ = 0;
-}
+void Planner::clear() { plans_built_ = 0; }
 
 }  // namespace regla::planner

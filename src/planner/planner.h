@@ -4,9 +4,8 @@
 // For a problem signature the planner enumerates every candidate mapping the
 // kernels admit — approach x threads-per-block — scores each with the
 // analytical models in src/model/, and returns the cheapest as a Plan,
-// without running any of them. Results are memoized in an LRU cache keyed
-// by (signature, device fingerprint), so repeated solves of the same shape
-// skip enumeration and scoring entirely and dispatch in O(1).
+// without running any of them. The models are closed form, so every call
+// plans afresh (about a microsecond) and the planner keeps no plans.
 //
 // Scoring = the paper's models plus one planner-level extension: a register
 // SPILL term. The paper's Eq. 1 and Table VI models deliberately ignore
@@ -20,23 +19,21 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "planner/plan.h"
-#include "planner/plan_cache.h"
 #include "simt/device_config.h"
 
 namespace regla::planner {
 
-/// Cumulative planner health counters. Planner::stats() is their one source
-/// (the cache counters come from the PlanCache).
+/// Cumulative planner counters. Planner::stats() is their one source.
 struct PlannerStats {
+  /// Retired: always 0, since the planner keeps no plans to hit or miss.
+  /// Kept, with hit_rate(), so existing readers of them build unchanged.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t plans_built = 0;     ///< candidate enumerations performed
-  std::uint64_t evictions = 0;
+  std::uint64_t plans_built = 0;  ///< plan() calls (each enumerates and scores)
 
   double hit_rate() const {
     const double total = static_cast<double>(cache_hits + cache_misses);
@@ -46,31 +43,24 @@ struct PlannerStats {
 
 class Planner {
  public:
-  /// `cache_capacity` = plan-cache LRU entries before eviction.
-  explicit Planner(std::size_t cache_capacity = 512);
-
-  /// The plan for this signature on this device: cached if seen before,
-  /// otherwise enumerated, scored, and inserted (the cheapest candidate).
-  /// Thread-safe (the cache is a PlanCache; two threads missing the same
-  /// signature at once both build it and the later insert wins — plans for a
-  /// signature are deterministic, so the duplicate work is harmless).
+  /// The plan for this signature on this device: the cheapest candidate,
+  /// enumerated and scored on every call. Thread-safe.
   /// REGLA_CHECKs if no kernel can run the problem at all.
   Plan plan(const regla::simt::DeviceConfig& cfg, const ProblemDesc& desc);
 
-  /// All admissible candidates, scored, cheapest first (no cache involved).
+  /// All admissible candidates, scored, cheapest first.
   std::vector<Plan> candidates(const regla::simt::DeviceConfig& cfg,
                                const ProblemDesc& desc) const;
 
   PlannerStats stats() const;
-  void clear();  ///< drop the cache and reset counters
+  void clear();  ///< reset the counters
 
-  /// Hash of every DeviceConfig field the plans depend on; part of the cache
-  /// key, so reconfiguring the device invalidates (by never matching) all
-  /// plans made for the old configuration.
+  /// Hash of every DeviceConfig field the plans depend on. Replay keys mix
+  /// it in (ops/registry.cc), so reconfiguring a device never replays
+  /// accounting recorded under the old configuration.
   static std::uint64_t config_fingerprint(const regla::simt::DeviceConfig& cfg);
 
  private:
-  PlanCache cache_;
   std::atomic<std::uint64_t> plans_built_{0};
 };
 

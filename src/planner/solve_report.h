@@ -16,8 +16,7 @@ namespace regla {
 /// and which problems failed. Replaces LaunchResult + GpuBatchResult for
 /// callers of the Solver API.
 struct SolveReport {
-  /// What ran: approach, threads, layout, the model's verdict, and
-  /// from_cache (this call's plan came from the plan cache).
+  /// What ran: approach, threads, layout, and the model's verdict.
   planner::Plan plan;
   double seconds = 0;          ///< simulated wall time on the device
   double chip_cycles = 0;

@@ -1,20 +1,11 @@
 #include "planner/solver.h"
 
-#include <utility>
-
-#include "common/error.h"
 #include "obs/trace.h"
 #include "planner/op_traits.h"
 
 namespace regla {
 
-Solver::Solver(simt::Device& dev)
-    : dev_(dev), planner_(std::make_shared<planner::Planner>()) {}
-
-Solver::Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared)
-    : dev_(dev), planner_(std::move(shared)) {
-  REGLA_CHECK_MSG(planner_ != nullptr, "shared planner must not be null");
-}
+Solver::Solver(simt::Device& dev) : dev_(dev) {}
 
 SolveReport Solver::run(planner::Op op, ops::Call call) {
   const planner::OpTraits& traits = planner::op_traits(op);
@@ -22,7 +13,7 @@ SolveReport Solver::run(planner::Op op, ops::Call call) {
   obs::Span span(c64 && traits.span_c64 ? traits.span_c64 : traits.span,
                  "solver");
   ops::validate(op, call);
-  const planner::Plan plan = planner_->plan(
+  const planner::Plan plan = planner_.plan(
       dev_.config(), planner::ProblemDesc{op, call.m(), call.n(), call.count(),
                                           call.dtype()});
   return ops::run_device(dev_, op, plan, call);

@@ -2,12 +2,12 @@
 //
 //   regla::simt::Device dev;
 //   regla::Solver solver(dev);
-//   auto report = solver.qr(batch);          // planned, cached, dispatched
-//   report.gflops(); report.plan.approach; report.plan.from_cache;
+//   auto report = solver.qr(batch);          // planned, dispatched
+//   report.gflops(); report.plan.approach; report.plan.predicted_cycles;
 //
-// A Solver owns a model-guided Planner and its plan cache: the first solve
-// of a shape enumerates and scores candidate mappings, every repeat is an
-// O(1) cache hit straight to dispatch. Execution goes through the op
+// A Solver owns a model-guided Planner: every solve enumerates and scores
+// the candidate mappings for its shape (closed-form models, about a
+// microsecond) and dispatches the cheapest. Execution goes through the op
 // registry (ops/registry.h): the Solver plans, the registry's (op, dtype,
 // backend) entry runs the kernels.
 // The typed methods below (qr/lu/solve/...) are one-line conveniences over
@@ -22,8 +22,6 @@
 // solve through this facade.
 #pragma once
 
-#include <memory>
-
 #include "ops/registry.h"
 #include "planner/planner.h"
 #include "planner/solve_report.h"
@@ -36,20 +34,14 @@ namespace regla {
 using SolveOptions = core::SolveOptions;
 
 /// The planner-backed facade over the op registry. Holds a reference to the
-/// Device; one Solver per Device (or several — plans are keyed by device
-/// configuration, so sharing is safe but caches are per-Solver).
+/// Device and owns its Planner; one Solver per Device (or several — each
+/// plans from the device's configuration at every call).
 class Solver {
  public:
   explicit Solver(simt::Device& dev);
 
-  /// Share a planner (and its thread-safe plan cache) with other Solvers:
-  /// the serving runtime gives every worker stream its own Device + Solver
-  /// but one planner, so a signature planned on any stream is a cache hit on
-  /// all of them.
-  Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared);
-
   /// The generic entry point every typed method funnels into: validate the
-  /// call against the op's traits, plan (cached), dispatch to the registered
+  /// call against the op's traits, plan, dispatch to the registered
   /// device entry. Throws ops::UnregisteredOpError if no kernel exists for
   /// (op, call dtype).
   SolveReport run(planner::Op op, ops::Call call);
@@ -80,15 +72,13 @@ class Solver {
   /// not_solved.
   SolveReport trsm(BatchF& l, BatchF& b, const SolveOptions& opts = {});
 
-  planner::Planner& planner() { return *planner_; }
-  const planner::Planner& planner() const { return *planner_; }
-  /// The planner as a shareable handle (for spinning up sibling Solvers).
-  std::shared_ptr<planner::Planner> shared_planner() const { return planner_; }
+  planner::Planner& planner() { return planner_; }
+  const planner::Planner& planner() const { return planner_; }
   simt::Device& device() { return dev_; }
 
  private:
   simt::Device& dev_;
-  std::shared_ptr<planner::Planner> planner_;
+  planner::Planner planner_;
 };
 
 }  // namespace regla

@@ -70,7 +70,6 @@ Runtime::Runtime(Options opt)
       m_(labels_) {
   REGLA_CHECK(opt_.max_flush_problems > 0 && opt_.max_queue_problems > 0);
   opt_.target_waves = std::max(1, opt_.target_waves);
-  planner_ = std::make_shared<planner::Planner>();
   arena_ = std::make_unique<Arena>();
 
   fleet::Fleet::Options fopt;
@@ -79,7 +78,6 @@ Runtime::Runtime(Options opt)
     fopt.devices.push_back({"dev0", simt::DeviceConfig{}, kDefaultStreams});
   fopt.circuit_break_after = opt_.circuit_break_after;
   fopt.circuit_cooldown = opt_.circuit_cooldown;
-  fopt.planner = planner_;
   fleet_ = std::make_unique<fleet::Fleet>(std::move(fopt));
 
   // streams + spares + 1 so the pool has one helper thread per stream (the
@@ -99,13 +97,13 @@ Runtime::~Runtime() {
   }
 }
 
-int Runtime::preferred_batch(const Signature& sig) const {
+int Runtime::preferred_batch(const Signature& sig) {
   const planner::ProblemDesc desc{sig.op, sig.m, sig.n,
                                   opt_.max_flush_problems, sig.dtype};
   // Batch targets are computed against the first non-removed device; in a
   // heterogeneous fleet the router may still place the batch elsewhere (the
   // target is a coalescing goal, not a placement promise).
-  const planner::Plan plan = planner_->plan(fleet_->primary_config(), desc);
+  const planner::Plan plan = planner_.plan(fleet_->primary_config(), desc);
   const long target = static_cast<long>(std::max(1, plan.concurrent)) *
                       opt_.target_waves;
   return static_cast<int>(
@@ -233,7 +231,7 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     REGLA_CHECK_MSG(!closed_, "runtime is shut down");
     auto it = queues_.find(sig);
     if (it == queues_.end()) {
-      // First request of this signature: ask the shared planner what batch
+      // First request of this signature: ask the planner what batch
       // fills the chip. REGLA_CHECKs here if no kernel admits the shape, so
       // unsupported signatures fail at submit, not on a worker — and the
       // throw happens before the queue exists, so a rejected signature

@@ -9,12 +9,12 @@
 // wave, Plan::concurrent) or when the oldest request's deadline
 // (max_batch_delay) expires — whichever comes first. Flushed batches are
 // placed on a fleet of devices (fleet/fleet.h): each fleet member owns its
-// worker streams (a Device + Solver per stream; every stream shares one
-// planner, so a signature planned anywhere is a plan-cache hit everywhere),
-// the router picks the member by circuit state and queue depth, and
-// per-problem results scatter back to each submitter's future. Devices can
-// be added, drained, removed, or die mid-traffic; a batch whose device fails
-// re-routes to a healthy sibling before the CPU fallback kicks in.
+// worker streams (a Device + Solver per stream, each Solver planning its
+// own launches), the router picks the member by circuit state and queue
+// depth, and per-problem results scatter back to each submitter's future.
+// Devices can be added, drained, removed, or die mid-traffic; a batch whose
+// device fails re-routes to a healthy sibling before the CPU fallback kicks
+// in.
 //
 //   runtime::Runtime rt;
 //   BatchF a(4, 32, 32);  // four 32x32 problems from this caller
@@ -321,7 +321,8 @@ class Runtime {
   RuntimeStats stats() const;
   /// The label every obs instrument of this Runtime carries: "rt=<n>".
   const std::string& metric_labels() const { return labels_; }
-  std::shared_ptr<planner::Planner> planner() const { return planner_; }
+  /// The planner preferred_batch sizes queue targets with.
+  const planner::Planner* planner() const { return &planner_; }
   const Options& options() const { return opt_; }
 
   /// The device fleet batches are routed over (stats, metrics, lifecycle).
@@ -340,7 +341,7 @@ class Runtime {
 
   /// The model-preferred flush size for a signature (target_waves full
   /// launch waves of the planned kernel), as the queues use it.
-  int preferred_batch(const Signature& sig) const;
+  int preferred_batch(const Signature& sig);
 
   /// The payload arena. Submitters may lease request buffers here
   /// (lease_f32 / lease_c64 return zero-filled borrowed batches), write
@@ -496,7 +497,7 @@ class Runtime {
   Options opt_;
   std::string labels_;  ///< "rt=<n>"
   Metrics m_;
-  std::shared_ptr<planner::Planner> planner_;
+  planner::Planner planner_;
   /// Payload slabs (staging + client leases). Declared before the fleet and
   /// pool so any straggler lease embedded in an undelivered Report still
   /// holds the shared arena State; the arena handle itself may die first.

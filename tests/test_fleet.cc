@@ -22,7 +22,6 @@
 #include "fleet/fleet.h"
 #include "fleet/router.h"
 #include "obs/metrics.h"
-#include "planner/planner.h"
 #include "runtime/runtime.h"
 #include "simt/engine.h"
 #include "test_util.h"
@@ -162,8 +161,9 @@ TEST(FleetUnit, AddDeviceJoinsRouting) {
   EXPECT_EQ(f.device_stats(1).name, "late");
 }
 
-// Placement reads load, not planner state: a device whose configuration
-// already planned the shape gets no discount over an idle sibling.
+// Placement reads load alone: the larger device takes the first batch only
+// on the exact tie (member order), and one busy stream of its four already
+// sends the next batch to the idle sibling.
 TEST(FleetUnit, HeterogeneousFleetRoutesByLoadNotPlanState) {
   fleet::Fleet::Options opt;
   simt::DeviceConfig small = simt::DeviceConfig::quadro6000();
@@ -171,8 +171,6 @@ TEST(FleetUnit, HeterogeneousFleetRoutesByLoadNotPlanState) {
   opt.devices = {DeviceSpec{"big", simt::DeviceConfig::quadro6000(), 4},
                  DeviceSpec{"small", small, 1}};
   fleet::Fleet f(std::move(opt));
-  (void)f.planner()->plan(simt::DeviceConfig::quadro6000(),
-                          {Op::qr, 8, 8, 16, planner::Dtype::f32});
   auto first = f.acquire();
   auto second = f.acquire();
   ASSERT_TRUE(first && second);
@@ -272,24 +270,28 @@ TEST(FleetSharedPool, ConcurrentReplayLaunchesMatchSerialLaunch) {
   spec.threads = kBlockThreads;
   spec.name = "fleet_shared_pool";
 
-  std::vector<std::vector<float>> in(kLaunches, std::vector<float>(kElems));
+  // The fixed salt does not cover the buffers' alignment classes (the DRAM
+  // coalescing pattern, which ops::run_device mixes into its keys), so every
+  // buffer starts a 128-byte segment: a hit's replayed accounting is then
+  // what its own addresses would simulate to.
+  struct alignas(128) Buffer {
+    float v[kElems];
+  };
+  std::vector<Buffer> in(kLaunches);
   for (int l = 0; l < kLaunches; ++l)
     for (int i = 0; i < kElems; ++i)
-      in[l][i] = static_cast<float>((i * 7 + l * 13) % 101) / 17.0f;
+      in[l].v[i] = static_cast<float>((i * 7 + l * 13) % 101) / 17.0f;
 
   struct Run {
-    std::vector<std::vector<float>> out;
+    std::vector<Buffer> out = std::vector<Buffer>(kLaunches);
     std::vector<simt::LaunchResult> res;
   };
   const auto run_on = [&](simt::Device& dev) {
     Run r;
     const simt::Device::ReplayScope scope(dev, /*data_independent=*/true,
                                           kSalt);
-    for (int l = 0; l < kLaunches; ++l) {
-      r.out.emplace_back(kElems, 0.0f);
-      r.res.push_back(dev.launch(spec, staged_kernel(in[l].data(),
-                                                     r.out.back().data())));
-    }
+    for (int l = 0; l < kLaunches; ++l)
+      r.res.push_back(dev.launch(spec, staged_kernel(in[l].v, r.out[l].v)));
     return r;
   };
 
@@ -299,9 +301,8 @@ TEST(FleetSharedPool, ConcurrentReplayLaunchesMatchSerialLaunch) {
   if (!serial.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
   const Run want = run_on(serial);
 
-  auto planner = std::make_shared<planner::Planner>();
-  fleet::Stream a(simt::DeviceConfig::quadro6000(), planner);
-  fleet::Stream b(simt::DeviceConfig::quadro6000(), planner);
+  fleet::Stream a(simt::DeviceConfig::quadro6000());
+  fleet::Stream b(simt::DeviceConfig::quadro6000());
   Run got_a, got_b;
   std::latch start(2);
   std::thread ta([&] {
@@ -320,9 +321,7 @@ TEST(FleetSharedPool, ConcurrentReplayLaunchesMatchSerialLaunch) {
     for (int l = 0; l < kLaunches; ++l) {
       SCOPED_TRACE("launch " + std::to_string(l));
       expect_launches_identical(got->res[l], want.res[l]);
-      EXPECT_EQ(std::memcmp(got->out[l].data(), want.out[l].data(),
-                            kElems * sizeof(float)),
-                0);
+      EXPECT_EQ(std::memcmp(got->out[l].v, want.out[l].v, sizeof(Buffer)), 0);
     }
   }
 }

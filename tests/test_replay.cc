@@ -335,6 +335,9 @@ TEST(ReplayVerify, GroupMembersTakeTheirOwnReflectorBranch) {
 // host pool every Device shares: results stay bitwise what full simulation
 // gives.
 TEST(ReplayVerify, ConcurrentGroupedLaunchesMatchFullSim) {
+  // Verify mode never runs replay groups: clear an inherited
+  // REGLA_REPLAY_VERIFY=1, or grouped_blocks stays flat.
+  ::unsetenv("REGLA_REPLAY_VERIFY");
   constexpr int kThreads = 2;
   constexpr int kPasses = 3;
   const auto input = [](int t, int pass) {
@@ -428,6 +431,10 @@ std::pair<std::uint64_t, std::uint64_t> expect_memo_matches_full_sim(
 // entry is non-uniform), and a kernel whose address logs overflow, so a
 // memo hit must still count the truncations the fold used to count.
 TEST(ReplayVerify, MemoizedFoldBitwiseEqualsFullSim) {
+  // Verify mode re-folds every hit and never runs a group: clear an
+  // inherited REGLA_REPLAY_VERIFY=1, or folds_reused and grouped_blocks
+  // stay flat.
+  ::unsetenv("REGLA_REPLAY_VERIFY");
   simt::Device replay_dev;
   replay_dev.set_replay(true);
   simt::Device full_dev;
@@ -506,6 +513,9 @@ TEST(ReplayVerify, MemoizedFoldBitwiseEqualsFullSim) {
 // every launch of a few keys must match a fully simulated device bit for
 // bit, with the memo used exactly on the unpoisoned hits.
 TEST(ReplayVerify, SpikedHitsUseTheMemoPoisonedHitsBypassIt) {
+  // Verify mode re-folds every hit: clear an inherited
+  // REGLA_REPLAY_VERIFY=1, or folds_reused stays flat.
+  ::unsetenv("REGLA_REPLAY_VERIFY");
   simt::DeviceConfig cfg;
   cfg.faults.seed = 42;
   cfg.faults.poisoned_result_rate = 0.5;
