@@ -69,7 +69,9 @@ done
 # fidelity, must regenerate their committed CSVs byte for byte. Simulated
 # numbers are deterministic outputs of the model (no wall clock, independent
 # of host worker count), so any difference is a model or engine change; a
-# deliberate one re-commits the CSVs in the same change.
+# deliberate one re-commits the CSVs in the same change. Each `==` line ends
+# with the bench's wall seconds, so every log shows what full simulation
+# costs; the time is informational only, the cmp is the gate.
 IDENTITY=(
   bench_fig1_global_latency:fig1 bench_fig2_sync_latency:fig2
   bench_fig4_per_thread:fig4 bench_fig7_layouts:fig7 bench_fig8_panels:fig8
@@ -79,8 +81,11 @@ IDENTITY=(
 )
 for entry in "${IDENTITY[@]}"; do
   b="${entry%%:*}" id="${entry##*:}"
-  echo "== $b (full fidelity) vs bench_results/$id.csv"
+  printf '== %s (full fidelity) vs bench_results/%s.csv' "$b" "$id"
+  t0=$(date +%s%N)
   timeout 600 "./$b" > /dev/null
+  ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  printf ': %d.%03d s\n' $(( ms / 1000 )) $(( ms % 1000 ))
   cmp "bench_results/$id.csv" "../../bench_results/$id.csv"
 done
 

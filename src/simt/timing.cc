@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 
 namespace regla::simt {
 
@@ -12,28 +13,37 @@ namespace {
 /// warp access once per extra distinct address in the most-contended bank;
 /// same-address lanes broadcast. With whole-phase aggregation the faithful
 /// equivalent is max(per-lane access count, distinct addresses in the
-/// hottest bank).
+/// hottest bank). A word counts toward its bank the first time this warp
+/// fold meets it: its stamp in `sc.sh_stamp` is not yet this fold's epoch.
 double warp_shared_transactions(const DeviceConfig& cfg,
                                 const std::vector<ThreadStats>& threads,
-                                int lane_begin, int lane_end,
-                                std::vector<std::uint32_t>& addrs) {
+                                int lane_begin, int lane_end, FoldScratch& sc) {
   std::uint64_t max_lane = 0;
   std::uint64_t total = 0;
   std::uint64_t recorded = 0;
-  addrs.clear();
   for (int t = lane_begin; t < lane_end; ++t) {
     const ThreadStats& s = threads[t];
     max_lane = std::max(max_lane, s.sh_accesses);
     total += s.sh_accesses;
     recorded += s.sh_addrs.size();
-    addrs.insert(addrs.end(), s.sh_addrs.begin(), s.sh_addrs.end());
   }
   if (total == 0) return 0;
-  std::sort(addrs.begin(), addrs.end());
-  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+  if (++sc.epoch == 0) {  // wrapped: a stale stamp could equal a new epoch
+    std::fill(sc.sh_stamp.begin(), sc.sh_stamp.end(), 0u);
+    sc.epoch = 1;
+  }
+  const std::uint32_t epoch = sc.epoch;
   std::array<std::uint32_t, 64> bank_count{};  // 64 covers any bank config
   const int banks = std::min(cfg.shared_banks, 64);
-  for (std::uint32_t a : addrs) ++bank_count[a % banks];
+  for (int t = lane_begin; t < lane_end; ++t) {
+    for (std::uint32_t a : threads[t].sh_addrs) {
+      if (a >= sc.sh_stamp.size()) sc.sh_stamp.resize(std::size_t{a} + 1);
+      std::uint32_t& stamp = sc.sh_stamp[a];
+      if (stamp == epoch) continue;
+      stamp = epoch;
+      ++bank_count[a % banks];
+    }
+  }
   double hottest = 0;
   for (int b = 0; b < banks; ++b) hottest = std::max(hottest, double(bank_count[b]));
   double trans = std::max(static_cast<double>(max_lane), hottest);
@@ -46,6 +56,8 @@ double warp_shared_transactions(const DeviceConfig& cfg,
 /// Distinct DRAM segments touched by a warp in one phase (the coalescing
 /// rule: one transaction per 128-byte segment per access instruction; over a
 /// phase, distinct segments is the faithful aggregate for streaming code).
+/// A lane's consecutive accesses mostly stay in one segment, so each lane's
+/// back-to-back repeats are dropped before the sort.
 double warp_global_transactions(const std::vector<ThreadStats>& threads,
                                 int lane_begin, int lane_end,
                                 std::vector<std::uint64_t>& segs) {
@@ -55,7 +67,8 @@ double warp_global_transactions(const std::vector<ThreadStats>& threads,
     const ThreadStats& s = threads[t];
     total += s.gl_loads + s.gl_stores;
     recorded += s.gl_segments.size();
-    segs.insert(segs.end(), s.gl_segments.begin(), s.gl_segments.end());
+    std::unique_copy(s.gl_segments.begin(), s.gl_segments.end(),
+                     std::back_inserter(segs));
   }
   if (total == 0) return 0;
   std::sort(segs.begin(), segs.end());
@@ -104,8 +117,7 @@ PhaseRecord fold_phase(const DeviceConfig& cfg,
     if (sqrts > 0) p.sfu_latency = std::max(p.sfu_latency, cfg.sqrt_cycles());
     p.spill_accesses += static_cast<double>(spills);
     p.dep_latency = std::max(p.dep_latency, dep);
-    p.sh_transactions += warp_shared_transactions(cfg, threads, w0, w1,
-                                                  sc.sh_addrs);
+    p.sh_transactions += warp_shared_transactions(cfg, threads, w0, w1, sc);
     p.gl_transactions += warp_global_transactions(threads, w0, w1, sc.gl_segs);
   }
 

@@ -14,18 +14,27 @@
 
 namespace regla::simt {
 
-/// Reusable buffers for fold_phase's per-warp address analysis. Purely an
-/// allocation-churn saver: a block executor folds hundreds of phases and the
-/// address vectors reach tens of KB, so reusing one scratch across phases
-/// keeps the fold out of the allocator. Contents never carry between calls.
+/// Reusable state for fold_phase's per-warp address analysis. A block
+/// executor folds hundreds of phases through one scratch, so the fold stays
+/// out of the allocator; no result depends on what an earlier fold left.
 struct FoldScratch {
-  std::vector<std::uint32_t> sh_addrs;
+  /// Shared word index -> the warp fold (`epoch`) that last counted it, so
+  /// a warp counts each distinct word once without sorting its log. Grows
+  /// to the largest logged word (at most the block's shared space, one
+  /// entry per 4-byte word) and is zeroed when `epoch` wraps.
+  std::vector<std::uint32_t> sh_stamp;
+  /// Stamp of the current warp fold; advanced before every shared count.
+  std::uint32_t epoch = 0;
+  /// One warp's global segment log, with back-to-back repeats skipped.
   std::vector<std::uint64_t> gl_segs;
 };
 
 /// Fold one phase's per-thread counters into a PhaseRecord (warp-level SIMT
 /// fold: issue counts are max-over-lanes; shared transactions account for
 /// bank conflicts; global transactions are distinct 128-byte segments).
+/// Shared words are counted through the scratch's stamp table, so a fold
+/// costs time linear in the logged shared accesses; global segments are
+/// sorted after each lane's back-to-back repeats are dropped.
 /// `scratch` may be null; passing one reuses its buffers (identical result).
 PhaseRecord fold_phase(const DeviceConfig& cfg,
                        const std::vector<ThreadStats>& threads, OpTag tag,
