@@ -3,8 +3,8 @@
 # ThreadSanitizer and run the tests that exercise threads — the thread pool,
 # the planner, the serving runtime's queueing machinery,
 # the obs telemetry layer (metric registry + trace ring hammered from many
-# threads, and the end-to-end runtime timeline that records from dispatcher
-# and worker threads), and the lane executor (stackless coroutines, so TSan
+# threads, and the end-to-end runtime timeline that records from every
+# stream worker), and the lane executor (stackless coroutines, so TSan
 # needs no context-switch annotations). The ASan+UBSan sibling is
 # scripts/tier2_asan.sh.
 set -euo pipefail
@@ -21,13 +21,15 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # FleetSharedPool.* two streams' launches interleaving on the shared host
 # pool every Device simulates on. RuntimeQueue.* drive the runtime through
 # the solve_override hook (pure queueing, no kernels), including submitters
-# on many signatures racing size, deadline (dispatcher) and manual flushes;
+# on many signatures racing size, deadline (cut by idle stream workers) and
+# manual flushes, and batches queued behind a busy worker;
 # RuntimeSolve.* add real kernel launches;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and
 # the cross-layer timeline (ObsRuntimeTrace exercises the trace buffer from
-# the dispatcher and every worker thread at once); Arena*/RuntimeArena*/
+# every stream worker at once); Fleet* include streams added under load
+# running at once; Arena*/RuntimeArena*/
 # RuntimeRagged* hammer the payload arena's lease/release free lists and the
 # one staged assembly path from concurrent submitters.
 PATTERNS=(

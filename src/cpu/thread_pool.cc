@@ -42,20 +42,6 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::run_one(std::function<void()>& task) {
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++dropped_exceptions_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --queued_running_;
-    if (queued_running_ == 0 && queue_.empty()) cv_done_.notify_all();
-  }
-}
-
 int ThreadPool::claim(Job& job) {
   if (job.claimed == job.parts) return -1;
   const int part = job.claimed++;
@@ -78,33 +64,17 @@ void ThreadPool::run_chunk(Job& job, int part) {
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_work_.wait(lock, [&] {
-      return stop_ || !jobs_.empty() || !queue_.empty();
-    });
-    if (!jobs_.empty()) {
-      Job& job = *jobs_.front();
-      const int part = claim(job);  // jobs_ only holds jobs with one left
-      ++job.running;
-      lock.unlock();
-      run_chunk(job, part);
-      lock.lock();
-      // Still under mu_, so the caller cannot see running == 0 and destroy
-      // the job before this notify is done with it.
-      if (--job.running == 0) job.idle.notify_all();
-      continue;
-    }
-    if (!queue_.empty()) {
-      std::function<void()> task = std::move(queue_.front());
-      queue_.pop_front();
-      ++queued_running_;
-      lock.unlock();
-      run_one(task);
-      lock.lock();
-      continue;
-    }
-    // stop_ is only honored once the submit() queue has drained, so the
-    // destructor's join never abandons accepted work.
-    if (stop_) return;
+    cv_work_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stop_
+    Job& job = *jobs_.front();
+    const int part = claim(job);  // jobs_ only holds jobs with one left
+    ++job.running;
+    lock.unlock();
+    run_chunk(job, part);
+    lock.lock();
+    // Still under mu_, so the caller cannot see running == 0 and destroy
+    // the job before this notify is done with it.
+    if (--job.running == 0) job.idle.notify_all();
   }
 }
 
@@ -129,33 +99,6 @@ void ThreadPool::parallel_for(int count, const std::function<void(int)>& fn) {
   }
   job.idle.wait(lock, [&] { return job.running == 0; });
   if (job.error) std::rethrow_exception(job.error);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (threads_.empty()) {
-    // No helper threads: run inline so the task still happens exactly once.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++queued_running_;
-    }
-    run_one(task);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [&] { return queue_.empty() && queued_running_ == 0; });
-}
-
-std::uint64_t ThreadPool::dropped_exceptions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_exceptions_;
 }
 
 ThreadPool& ThreadPool::global() {

@@ -11,8 +11,8 @@ namespace regla::fleet {
 
 /// One fleet member: a named device with its stream pool, lifecycle state,
 /// and circuit breaker. All fields except `killed` are guarded by the fleet
-/// mutex; `killed` is atomic so leased executors can poll it lock-free
-/// mid-solve.
+/// mutex; `killed` is atomic so the workers holding its leases can poll it
+/// lock-free mid-solve.
 struct Fleet::Member {
   /// The member's obs instruments (labels device=<name>), each looked up
   /// once: obs::counter/gauge take the registry mutex and build a key on

@@ -49,8 +49,8 @@ namespace regla::fleet {
 using Clock = std::chrono::steady_clock;
 
 /// One worker stream: its own simulated Device + Solver. A stream is leased
-/// to exactly one executor at a time, so nothing here needs locking. Its
-/// Device simulates blocks on the process-wide host pool
+/// to exactly one runtime worker at a time, so nothing here needs locking.
+/// Its Device simulates blocks on the process-wide host pool
 /// (cpu::ThreadPool::global()) that every stream shares, so a stream with a
 /// full launch wave uses the threads an idle sibling leaves free.
 class Stream {
@@ -78,7 +78,8 @@ struct DeviceSpec {
   simt::DeviceConfig config = simt::DeviceConfig::quadro6000();
   /// Worker streams (Device + Solver pairs) this member runs. More streams =
   /// more concurrent batches on the member (each stream simulates
-  /// independently).
+  /// independently). In a runtime::Runtime each stream also adds one worker
+  /// thread.
   int streams = 1;
 };
 
@@ -144,7 +145,7 @@ class Lease {
   /// The lease was granted on a circuit-open device because every eligible
   /// device's breaker was open (the degrade-or-probe case).
   bool circuit_open() const { return circuit_open_; }
-  /// The device was killed; any launch attempt must fail (the executor
+  /// The device was killed; any launch attempt must fail (the runtime
   /// throws TransientLaunchFailure instead of running the solver).
   bool killed() const;
   /// Early return to the pool (also what the destructor does).
@@ -187,7 +188,8 @@ class Fleet {
   /// (devices past id 63 are never excludable; the mask is a re-route aid,
   /// not a partition). Blocks while every eligible device is busy; returns
   /// nullopt when no device is eligible at all (all
-  /// draining/removed/excluded).
+  /// draining/removed/excluded). A Runtime has one worker per stream, so its
+  /// workers wait here only after a drain or remove, or on a re-route.
   std::optional<Lease> acquire(std::uint64_t exclude = 0);
 
   /// Execution feedback: a batch of `problems` completed on the leased
@@ -218,7 +220,7 @@ class Fleet {
   void remove(int id);
 
   /// Deterministically kill a device mid-traffic: every subsequent launch
-  /// attempt on it fails with TransientLaunchFailure (the executor checks
+  /// attempt on it fails with TransientLaunchFailure (the runtime checks
   /// Lease::killed before running). The device keeps receiving routed
   /// batches until its circuit breaker learns better — exactly how a real
   /// dead device looks to a router.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "cpu/thread_pool.h"
 #include "obs/trace.h"
 #include "ops/registry.h"
 #include "planner/op_traits.h"
@@ -80,12 +81,8 @@ Runtime::Runtime(Options opt)
   fopt.circuit_cooldown = opt_.circuit_cooldown;
   fleet_ = std::make_unique<fleet::Fleet>(std::move(fopt));
 
-  // streams + spares + 1 so the pool has one helper thread per stream (the
-  // constructing thread only counts for parallel_for) plus headroom for
-  // streams added under load via add_device().
-  pool_ = std::make_unique<cpu::ThreadPool>(fleet_->total_streams() +
-                                            kSpareStreamWorkers + 1);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  std::lock_guard<std::mutex> lock(mu_);
+  start_workers(fleet_->total_streams());
 }
 
 Runtime::~Runtime() {
@@ -95,6 +92,20 @@ Runtime::~Runtime() {
     // Destructors must not throw; shutdown errors are already reflected in
     // the affected futures.
   }
+}
+
+int Runtime::add_device(fleet::DeviceSpec spec) {
+  const int id = fleet_->add_device(std::move(spec));
+  // The fleet clamps the spec's stream count: read what the member got.
+  const int streams = fleet_->device_stats(id).streams;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!closed_) start_workers(streams);
+  return id;
+}
+
+void Runtime::start_workers(int n) {
+  for (int i = 0; i < n; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 int Runtime::preferred_batch(const Signature& sig) {
@@ -224,8 +235,8 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
   const Clock::time_point abs_deadline =
       deadline.count() > 0 ? Clock::now() + deadline
                            : Clock::time_point::max();
-  std::vector<Batch> ready;
   std::future<Report> fut;
+  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     REGLA_CHECK_MSG(!closed_, "runtime is shut down");
@@ -297,15 +308,15 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
 
     if (opt_.max_batch_delay.count() == 0) {
       // Zero delay = no coalescing: the deadline expires on arrival.
-      while (!q.pending.empty())
-        ready.push_back(take_batch(q, FlushReason::deadline));
+      cut_all(q, FlushReason::deadline);
     } else {
       while (q.pending_problems >= q.target)
-        ready.push_back(take_batch(q, FlushReason::size));
+        ready_.push_back(take_batch(q, FlushReason::size));
       update_flush_at(q);
     }
+    wake = !ready_.empty();
   }
-  for (Batch& b : ready) launch(std::move(b));
+  if (wake) cv_work_.notify_one();
   return fut;
 }
 
@@ -337,6 +348,10 @@ Runtime::Batch Runtime::take_batch(Queue& q, FlushReason reason) {
   return batch;
 }
 
+void Runtime::cut_all(Queue& q, FlushReason reason) {
+  while (!q.pending.empty()) ready_.push_back(take_batch(q, reason));
+}
+
 void Runtime::update_flush_at(Queue& q) {
   if (opt_.max_batch_delay.count() == 0) return;
   // A request whose own deadline lands before the coalescing window closes
@@ -347,59 +362,47 @@ void Runtime::update_flush_at(Queue& q) {
                    ? Clock::time_point::max()
                    : std::min(q.pending.front().enqueued + opt_.max_batch_delay,
                               q.min_deadline);
-  // A later flush_at needs no wake-up: the dispatcher finds nothing due at
-  // the earlier time and sleeps again until the new minimum.
-  if (q.flush_at < was) cv_dispatch_.notify_one();
-}
-
-void Runtime::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!dispatcher_stop_) {
-    Clock::time_point next = Clock::time_point::max();
-    for (const auto& [sig, q] : queues_) next = std::min(next, q.flush_at);
-    if (next == Clock::time_point::max())
-      cv_dispatch_.wait(lock);
-    else if (next > Clock::now())
-      cv_dispatch_.wait_until(lock, next);
-    if (dispatcher_stop_) break;
-
-    std::vector<Batch> ready;
-    const Clock::time_point now = Clock::now();
-    for (auto& [sig, q] : queues_)
-      if (q.flush_at <= now)
-        while (!q.pending.empty())
-          ready.push_back(take_batch(q, FlushReason::deadline));
-    if (!ready.empty()) {
-      lock.unlock();
-      for (Batch& b : ready) launch(std::move(b));
-      lock.lock();
-    }
-  }
+  // A later flush_at needs no wake-up: a sleeping worker finds nothing due
+  // at the earlier time and sleeps again until the new minimum.
+  if (q.flush_at < was) cv_work_.notify_one();
 }
 
 // --- Execution -------------------------------------------------------------
 
-void Runtime::launch(Batch&& batch) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++inflight_;
-  }
-  // shared_ptr because ThreadPool tasks are std::function (copyable).
-  auto shared = std::make_shared<Batch>(std::move(batch));
-  pool_->submit([this, shared] {
-    // RAII: the pool swallows escaping exceptions, so if execute() ever
-    // throws, a bare decrement after it would be skipped and
-    // wait_idle()/shutdown() would block forever.
-    struct InflightGuard {
-      Runtime* rt;
-      ~InflightGuard() {
-        std::lock_guard<std::mutex> lock(rt->mu_);
-        --rt->inflight_;
-        rt->cv_idle_.notify_all();
+void Runtime::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!stop_) {
+    const Clock::time_point now = Clock::now();
+    Clock::time_point next = Clock::time_point::max();
+    for (auto& [sig, q] : queues_) {
+      if (q.flush_at <= now) cut_all(q, FlushReason::deadline);
+      next = std::min(next, q.flush_at);
+    }
+    if (ready_.empty()) {
+      if (next == Clock::time_point::max())
+        cv_work_.wait(lock);
+      else
+        cv_work_.wait_until(lock, next);
+      continue;
+    }
+    ++busy_;
+    {
+      Batch batch = std::move(ready_.front());
+      ready_.pop_front();
+      if (!ready_.empty()) cv_work_.notify_one();
+      lock.unlock();
+      try {
+        execute(batch);
+      } catch (...) {
+        // execute() resolves every solve failure itself; what escapes is the
+        // runtime's own (an allocation, say). No future may be left broken.
+        for (Pending& req : batch.requests)
+          fail(req, std::current_exception());
       }
-    } guard{this};
-    execute(*shared);
-  });
+    }  // the batch's buffers are released outside mu_
+    lock.lock();
+    if (--busy_ == 0 && ready_.empty()) cv_idle_.notify_all();
+  }
 }
 
 SolveReport Runtime::solve_one(fleet::Stream& s, const Signature& sig,
@@ -920,40 +923,37 @@ Runtime::Batch Runtime::solo_batch(const Batch& batch, Pending& req) {
 // --- Draining --------------------------------------------------------------
 
 void Runtime::flush() {
-  std::vector<Batch> ready;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [sig, q] : queues_)
-      while (!q.pending.empty())
-        ready.push_back(take_batch(q, FlushReason::manual));
+    for (auto& [sig, q] : queues_) cut_all(q, FlushReason::manual);
+    wake = !ready_.empty();
   }
-  for (Batch& b : ready) launch(std::move(b));
+  if (wake) cv_work_.notify_one();
 }
 
 void Runtime::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [&] { return inflight_ == 0; });
+  cv_idle_.wait(lock, [&] { return ready_.empty() && busy_ == 0; });
 }
 
 void Runtime::shutdown() {
-  std::vector<Batch> ready;
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
-    for (auto& [sig, q] : queues_)
-      while (!q.pending.empty())
-        ready.push_back(take_batch(q, FlushReason::shutdown));
+    for (auto& [sig, q] : queues_) cut_all(q, FlushReason::shutdown);
     cv_space_.notify_all();  // blocked submitters observe closed_ and throw
   }
-  for (Batch& b : ready) launch(std::move(b));
+  cv_work_.notify_one();
   wait_idle();
+  std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    dispatcher_stop_ = true;
+    stop_ = true;
+    workers.swap(workers_);
   }
-  cv_dispatch_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.reset();  // drains any queued jobs, then joins the workers
+  cv_work_.notify_all();
+  for (std::thread& w : workers) w.join();
 }
 
 // --- Stats -----------------------------------------------------------------

@@ -7,11 +7,13 @@
 // (op, m, n, dtype, solve options), and a queue flushes to the device when
 // it has collected the planner's model-preferred batch (one full launch
 // wave, Plan::concurrent) or when the oldest request's deadline
-// (max_batch_delay) expires — whichever comes first. Flushed batches are
-// placed on a fleet of devices (fleet/fleet.h): each fleet member owns its
-// worker streams (a Device + Solver per stream, each Solver planning its
-// own launches), the router picks the member by circuit state and queue
-// depth, and per-problem results scatter back to each submitter's future.
+// (max_batch_delay) expires — whichever comes first. The Runtime runs one
+// worker thread per fleet stream; an idle worker cuts whatever queue is due,
+// takes the oldest cut batch and runs it itself. Batches are placed on a
+// fleet of devices (fleet/fleet.h): each fleet member owns its worker
+// streams (a Device + Solver per stream, each Solver planning its own
+// launches), the router picks the member by circuit state and queue depth,
+// and per-problem results scatter back to each submitter's future.
 // Devices can be added, drained, removed, or die mid-traffic; a batch whose
 // device fails re-routes to a healthy sibling before the CPU fallback kicks
 // in.
@@ -43,17 +45,18 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "cpu/thread_pool.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "planner/op_traits.h"
@@ -175,8 +178,10 @@ struct RuntimeOptions {
   std::chrono::microseconds retry_backoff{50};
   std::chrono::microseconds retry_backoff_cap{5000};
   /// Consecutive exhausted-retry episodes that open a device's circuit
-  /// breaker, and how long it stays open (the router then avoids the device
-  /// while any sibling's breaker is closed).
+  /// breaker, and how long it stays open. An open device loses to any
+  /// closed one that has a free stream; when every closed sibling is busy
+  /// the router still leases it (fleet/router.h), and with cpu_fallback the
+  /// batch then degrades to the cpu path.
   int circuit_break_after = 2;
   std::chrono::milliseconds circuit_cooldown{50};
   /// Graceful degradation: when retries are exhausted the batch first tries
@@ -275,6 +280,7 @@ class Runtime {
   /// is empty.
   static constexpr int kDefaultStreams = 2;
 
+  /// Starts one worker thread per fleet stream.
   explicit Runtime(Options opt = {});
   ~Runtime();  ///< shutdown(): drains pending work, joins all threads
 
@@ -312,8 +318,9 @@ class Runtime {
   /// Block until every flushed batch has finished executing (pending queues
   /// that have not reached a flush condition are NOT waited for).
   void wait_idle();
-  /// Flush everything, drain the workers, stop the dispatcher. Idempotent;
-  /// further submissions throw. Called by the destructor.
+  /// Flush everything, wait until the workers have run every batch, then
+  /// stop and join them. Idempotent; further submissions throw. Called by
+  /// the destructor.
   void shutdown();
 
   /// Computed from this Runtime's obs instruments (atomic reads) and the
@@ -328,13 +335,13 @@ class Runtime {
   /// The device fleet batches are routed over (stats, metrics, lifecycle).
   fleet::Fleet& fleet() { return *fleet_; }
   const fleet::Fleet& fleet() const { return *fleet_; }
-  /// Lifecycle conveniences, forwarded to the fleet. Added streams share the
-  /// existing worker-thread pool, which is provisioned with spare threads
-  /// (kSpareStreamWorkers) so a device added under load gains real
-  /// concurrency, not just a queue position.
-  int add_device(fleet::DeviceSpec spec) {
-    return fleet_->add_device(std::move(spec));
-  }
+  /// Lifecycle conveniences, forwarded to the fleet. add_device also starts
+  /// one worker thread per stream the new member got (none after
+  /// shutdown()), so a device added under load gains real concurrency, not
+  /// just a queue position. Workers are not bound to a stream, and none is
+  /// joined before shutdown(): a drained or removed member's workers keep
+  /// leasing the remaining streams.
+  int add_device(fleet::DeviceSpec spec);
   void drain_device(int id) { fleet_->drain(id); }
   void remove_device(int id) { fleet_->remove(id); }
   void kill_device(int id) { fleet_->kill(id); }
@@ -383,9 +390,9 @@ class Runtime {
     /// Earliest per-request deadline among pending (max() = none): lowered
     /// on push, recomputed from the requests left after every take.
     Clock::time_point min_deadline = Clock::time_point::max();
-    /// When the dispatcher drains this queue (FlushReason::deadline): the
-    /// oldest request's enqueue time + max_batch_delay, pulled forward to
-    /// min_deadline; max() while empty or when coalescing is off.
+    /// When the first idle worker cuts this queue (FlushReason::deadline):
+    /// the oldest request's enqueue time + max_batch_delay, pulled forward
+    /// to min_deadline; max() while empty or when coalescing is off.
     Clock::time_point flush_at = Clock::time_point::max();
   };
   struct Batch {
@@ -431,10 +438,16 @@ class Runtime {
                               std::chrono::microseconds deadline = {});
   /// Pop whole requests from `q` up to the flush cap (requires mu_ held).
   Batch take_batch(Queue& q, FlushReason reason);
-  /// Recompute q.flush_at after a mutation, waking the dispatcher when it
-  /// moved earlier (requires mu_).
+  /// Cut every request pending in `q` into ready_ (requires mu_ held).
+  void cut_all(Queue& q, FlushReason reason);
+  /// Recompute q.flush_at after a mutation, waking a worker when it moved
+  /// earlier (requires mu_).
   void update_flush_at(Queue& q);
-  void launch(Batch&& batch);
+  /// Start `n` worker threads (requires mu_ held).
+  void start_workers(int n);
+  /// A worker: cut the due queues, take the oldest ready batch and run it;
+  /// with nothing to take, sleep until the earliest flush_at.
+  void worker_loop();
   void execute(Batch& batch);
   /// The no-routable-device path: every eligible fleet member is drained or
   /// removed. Solves per request on the cpu entries when cpu_fallback is on,
@@ -471,13 +484,8 @@ class Runtime {
   void fulfill(Pending& req, const SolveReport& batch_report,
                const Batch& batch, int offset, Clock::time_point started,
                const SolveOutcome& outcome);
-  void dispatcher_loop();
   void record_batch_stats(const Batch& batch, double device_seconds);
   void record_latency(Clock::time_point enqueued);
-
-  /// Spare pool threads beyond the initial stream count, so devices added
-  /// under load (up to this many extra streams) gain real concurrency.
-  static constexpr int kSpareStreamWorkers = 4;
 
   /// This Runtime's telemetry: obs instruments looked up once, under
   /// labels_, and updated lock-free. Each RuntimeStats quantity lives in
@@ -498,27 +506,26 @@ class Runtime {
   std::string labels_;  ///< "rt=<n>"
   Metrics m_;
   planner::Planner planner_;
-  /// Payload slabs (staging + client leases). Declared before the fleet and
-  /// pool so any straggler lease embedded in an undelivered Report still
-  /// holds the shared arena State; the arena handle itself may die first.
+  /// Payload slabs (staging + client leases). Declared before the fleet
+  /// so any straggler lease embedded in an undelivered Report still holds
+  /// the shared arena State; the arena handle itself may die first.
   std::unique_ptr<Arena> arena_;
-  /// Declared before pool_: pool jobs reference the fleet, so the pool must
-  /// drain and join first when the Runtime is destroyed.
   std::unique_ptr<fleet::Fleet> fleet_;
-  std::unique_ptr<cpu::ThreadPool> pool_;
 
-  mutable std::mutex mu_;  ///< queues, inflight, closed
-  /// Never erased: the dispatcher's scan for the earliest flush_at covers
-  /// every signature this Runtime has seen.
+  mutable std::mutex mu_;  ///< everything below
+  /// Never erased: a worker's scan for the earliest flush_at covers every
+  /// signature this Runtime has seen.
   std::unordered_map<Signature, Queue, SignatureHash> queues_;
-  int inflight_ = 0;
+  /// Cut batches no worker has taken yet, oldest first.
+  std::deque<Batch> ready_;
+  int busy_ = 0;       ///< workers running a batch
   bool closed_ = false;
-  bool dispatcher_stop_ = false;
-  std::condition_variable cv_space_;     ///< backpressure waiters
-  std::condition_variable cv_idle_;      ///< wait_idle / shutdown drain
-  std::condition_variable cv_dispatch_;  ///< a flush_at moved earlier
-
-  std::thread dispatcher_;
+  bool stop_ = false;  ///< the workers exit
+  std::condition_variable cv_space_;  ///< backpressure waiters
+  std::condition_variable cv_idle_;   ///< wait_idle / shutdown drain
+  /// Idle workers: a batch is ready, a flush_at moved earlier, or stop_.
+  std::condition_variable cv_work_;
+  std::vector<std::thread> workers_;  ///< joined by shutdown()
 };
 
 }  // namespace regla::runtime

@@ -341,6 +341,17 @@ TEST(ThreadPool, ConcurrentCallersDoNotWaitBehindBusyHelpers) {
   for (int c = 0; c < 3; ++c) EXPECT_EQ(sums[c].load(), 99 * 100 / 2);
 }
 
+// One process-wide pool: every call returns the same object, and it runs
+// parallel_for like any other pool.
+TEST(ThreadPool, GlobalPoolIsStableAndUsable) {
+  ThreadPool& a = ThreadPool::global();
+  ThreadPool& b = ThreadPool::global();
+  EXPECT_EQ(&a, &b);
+  std::vector<std::atomic<int>> hits(257);
+  a.parallel_for(257, [&](int i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(Batched, CpuQrBatch) {
   BatchF batch(20, 12, 12), orig(20, 12, 12);
   fill_uniform(batch, 31);

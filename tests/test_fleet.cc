@@ -9,11 +9,14 @@
 // seeded faults and hard kills.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <latch>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -400,6 +403,41 @@ TEST(FleetLifecycle, AddUnderLoadReceivesBatches) {
   const auto st = rt.stats();
   EXPECT_EQ(st.fulfilled, 16u);
   EXPECT_EQ(st.failed_requests, 0u);
+}
+
+// Seven streams, one from the constructor and six from add_device, run
+// seven flush-on-arrival batches at once: every stream a member brings gets
+// a thread to run on. Each solve holds until all seven are in flight,
+// bounded so that a runtime with fewer threads fails instead of hanging.
+TEST(FleetLifecycle, AddedStreamsAllRunAtOnce) {
+  constexpr int kStreams = 7;
+  std::mutex mu;
+  std::condition_variable cv;
+  int in_flight = 0;
+  int peak = 0;
+  RuntimeOptions opt = fleet_queue_options(1);
+  opt.solve_override = [&](const Signature&, BatchF& a, BatchF&) {
+    std::unique_lock<std::mutex> lock(mu);
+    peak = std::max(peak, ++in_flight);
+    cv.notify_all();
+    cv.wait_for(lock, 10s, [&] { return peak >= kStreams; });
+    --in_flight;
+    SolveReport r;
+    r.nominal_flops = a.count();
+    return r;
+  };
+  Runtime rt(opt);
+  rt.add_device(DeviceSpec{"wide", simt::DeviceConfig::quadro6000(), 6});
+  std::vector<std::future<Report>> futs;
+  for (int i = 0; i < kStreams; ++i)
+    futs.push_back(rt.submit(Op::qr, marked(2, 8, 1.0f)));
+  for (auto& f : futs) (void)f.get();
+  rt.shutdown();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(peak, kStreams);
+  }
+  EXPECT_EQ(rt.stats().fulfilled, static_cast<std::uint64_t>(kStreams));
 }
 
 TEST(FleetLifecycle, RemoveLastDeviceFallsBackToCpu) {

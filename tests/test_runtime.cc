@@ -81,6 +81,36 @@ TEST(RuntimeQueue, ZeroDelayFlushesEverySubmission) {
   EXPECT_EQ(st.flushed(FlushReason::size), 0u);
 }
 
+// One stream, so one worker: flush-on-arrival batches queue behind the busy
+// worker. wait_idle() covers the queued batches, not only the running one,
+// and shutdown() runs every batch cut before it.
+TEST(RuntimeQueue, WaitIdleCoversBatchesQueuedBehindBusyWorkers) {
+  auto opt = queue_options();
+  opt.devices = {
+      fleet::DeviceSpec{"dev0", simt::DeviceConfig::quadro6000(), 1}};
+  opt.max_batch_delay = 0us;
+  opt.solve_override = [](const Signature& sig, BatchF& a, BatchF& b) {
+    std::this_thread::sleep_for(2ms);
+    return doubling_override(sig, a, b);
+  };
+  Runtime rt(opt);
+  std::vector<std::future<Report>> futs;
+  for (int i = 0; i < 6; ++i)
+    futs.push_back(rt.submit(Op::qr, marked_batch(2, 8, float(i + 1))));
+  rt.wait_idle();
+  for (auto& f : futs) EXPECT_EQ(f.wait_for(0s), std::future_status::ready);
+  const auto st = rt.stats();
+  EXPECT_EQ(st.batches, 6u);
+  EXPECT_EQ(st.flushed(FlushReason::deadline), 6u);
+
+  for (int i = 6; i < 12; ++i)
+    futs.push_back(rt.submit(Op::qr, marked_batch(2, 8, float(i + 1))));
+  rt.shutdown();
+  for (int i = 0; i < 12; ++i)
+    EXPECT_FLOAT_EQ(futs[i].get().a.at(1, 7, 7), 2.0f * float(i + 1)) << i;
+  EXPECT_EQ(rt.stats().fulfilled, 12u);
+}
+
 // Once a queue holds the model-preferred batch, it flushes without waiting
 // for the deadline, and every rider sees the full coalesced size.
 TEST(RuntimeQueue, SizeFlushAtModelTarget) {
